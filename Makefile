@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race chaos chaos-cluster bench bench-query bench-obs bench-federate bench-serve bench-cq bench-cluster fuzz-smoke verify clean
+.PHONY: all build vet test race chaos chaos-cluster bench bench-query bench-obs bench-federate bench-serve bench-cq bench-cluster bench-smoke fuzz-smoke verify clean
 
 all: verify
 
@@ -105,6 +105,13 @@ bench-cluster:
 	ODA_BENCH_JSON=$(CURDIR)/BENCH_cluster.json $(GO) test -run xxx -bench 'ClusterFailover' -benchtime 20x -timeout 600s .
 	ODA_BENCH_JSON=$(CURDIR)/BENCH_cluster.json $(GO) test -run xxx -bench 'ClusterRecovery' -benchtime 20x -timeout 600s .
 
+# End-to-end benchmark smoke: e2ebench is a module of its own, so the
+# root build never compiles it. Vetting and testing it here catches a
+# change to an exported name the benchmark uses before the benchmark
+# run does.
+bench-smoke:
+	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
+
 # Fuzz smoke: 30 seconds per fuzz target on top of the committed corpora
 # (testdata/fuzz). Decoders for untrusted bytes must error, never panic.
 fuzz-smoke:
@@ -113,7 +120,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzColumnarExt -fuzztime 30s ./internal/columnar
 	$(GO) test -run xxx -fuzz FuzzWALReplay -fuzztime 30s ./internal/wal
 
-verify: vet build test race chaos chaos-cluster fuzz-smoke bench-federate bench-serve bench-cq
+verify: vet build test bench-smoke race chaos chaos-cluster fuzz-smoke bench-federate bench-serve bench-cq
 
 clean:
 	$(GO) clean ./...

@@ -7,6 +7,7 @@ import (
 
 	"odakit/internal/forecast"
 	"odakit/internal/telemetry"
+	"odakit/internal/tsdb"
 )
 
 // Alert is one fired threshold or anomaly detection.
@@ -49,7 +50,8 @@ type groupScore struct {
 // contend with the apply path's fold.
 type alertState struct {
 	spec  AlertSpec
-	granN int64 // scoring bucket width
+	granN int64     // scoring bucket width
+	plan  tsdb.Plan // the view's spec compiled at granN
 
 	mu     sync.Mutex
 	groups map[[4]string]*groupScore
@@ -63,9 +65,12 @@ func newAlertState(spec Spec, rollupN int64) *alertState {
 	if granN <= 0 {
 		granN = rollupN
 	}
+	q := spec.query()
+	q.Granularity = time.Duration(granN)
 	return &alertState{
 		spec:   *spec.Alert,
 		granN:  granN,
+		plan:   tsdb.Compile(q),
 		groups: make(map[[4]string]*groupScore),
 		scored: minWatermark,
 	}
@@ -81,7 +86,7 @@ func (a *alertState) closeBuckets(v *View) []closedBucket {
 	// Buckets with end <= watermark are final. A watermark exactly on
 	// a boundary leaves [closedEnd, +granN) open: it holds the record
 	// at its own start.
-	closedEnd := v.watermark - floorMod(v.watermark, a.granN)
+	closedEnd := tsdb.BucketStart(v.watermark, a.granN)
 	fromN, _, ok := v.windowBounds(v.watermark)
 	if !ok {
 		return nil
@@ -90,7 +95,7 @@ func (a *alertState) closeBuckets(v *View) []closedBucket {
 	start := a.scored
 	a.mu.Unlock()
 	if start == minWatermark || start < fromN {
-		start = fromN - floorMod(fromN, a.granN)
+		start = tsdb.BucketStart(fromN, a.granN)
 		if start < fromN {
 			start += a.granN
 		}
@@ -100,15 +105,17 @@ func (a *alertState) closeBuckets(v *View) []closedBucket {
 	if start >= closedEnd {
 		return nil
 	}
-	pairs, _ := v.foldRangeLocked(start, closedEnd, a.granN)
-	sortGroups(pairs, 4)
-	out := make([]closedBucket, 0, len(pairs))
-	for i := range pairs {
-		out = append(out, closedBucket{
-			ts:    pairs[i].key.ts,
-			dims:  pairs[i].key.dims,
-			value: aggValue(v.cs.agg, &pairs[i].cell),
-		})
+	groups, _ := v.foldRangeLocked(&a.plan, start, closedEnd)
+	f := a.plan.Emit(groups)
+	nDims := len(v.Spec.GroupBy)
+	out := make([]closedBucket, f.Len())
+	for i := range out {
+		r := f.Row(i)
+		out[i].ts = r[0].TimeVal().UnixNano()
+		for d := 0; d < nDims; d++ {
+			out[i].dims[d] = r[1+d].StrVal()
+		}
+		out[i].value = r[1+nDims].FloatVal()
 	}
 	a.mu.Lock()
 	a.scored = closedEnd - a.granN

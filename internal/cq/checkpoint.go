@@ -153,14 +153,15 @@ func (v *View) snapshot() ckptView {
 			sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
 			for _, start := range starts {
 				cc := pc.chunks[start]
-				ch := ckptChunk{Start: start, Cells: make([]ckptCell, 0, len(cc.keys))}
-				for i := range cc.keys {
-					k, c := &cc.keys[i], &cc.cells[i]
+				ch := ckptChunk{Start: start, Cells: make([]ckptCell, 0, cc.Len())}
+				cells := cc.Cells()
+				for i, k := range cc.Keys() {
+					c := &cells[i]
 					ch.Cells = append(ch.Cells, ckptCell{
-						Ts: k.ts, System: k.system, Source: k.source, Comp: k.component, Metric: k.metric,
-						Count: c.count, Sum: math.Float64bits(c.sum),
-						Min: math.Float64bits(c.min), Max: math.Float64bits(c.max),
-						LastTs: c.lastTs, Last: math.Float64bits(c.last),
+						Ts: k.Ts, System: k.System, Source: k.Source, Comp: k.Component, Metric: k.Metric,
+						Count: c.Count, Sum: math.Float64bits(c.Sum),
+						Min: math.Float64bits(c.Min), Max: math.Float64bits(c.Max),
+						LastTs: c.LastTs, Last: math.Float64bits(c.Last),
 					})
 				}
 				cp.Chunks = append(cp.Chunks, ch)
@@ -231,25 +232,23 @@ func (v *View) restoreInto(cv ckptView) error {
 		tp := topicPart{topic: cp.Topic, part: cp.Part}
 		pc := v.stripes[cp.Stripe][tp]
 		if pc == nil {
-			pc = &partChunks{chunks: make(map[int64]*chunkCells)}
+			pc = &partChunks{chunks: make(map[int64]*tsdb.CellTable)}
 			v.stripes[cp.Stripe][tp] = pc
 			v.noteTPLocked(tp)
 		}
 		for _, ch := range cp.Chunks {
 			cc := pc.chunks[ch.Start]
 			if cc == nil {
-				cc = &chunkCells{index: make(map[cellKey]int32, len(ch.Cells))}
+				cc = &tsdb.CellTable{}
 				pc.chunks[ch.Start] = cc
 			}
 			for _, c := range ch.Cells {
-				key := cellKey{ts: c.Ts, system: c.System, source: c.Source, component: c.Comp, metric: c.Metric}
-				cell := cc.cell(key)
-				cell.count = c.Count
-				cell.sum = math.Float64frombits(c.Sum)
-				cell.min = math.Float64frombits(c.Min)
-				cell.max = math.Float64frombits(c.Max)
-				cell.lastTs = c.LastTs
-				cell.last = math.Float64frombits(c.Last)
+				key := tsdb.RollupKey{Ts: c.Ts, System: c.System, Source: c.Source, Component: c.Comp, Metric: c.Metric}
+				*cc.Cell(key) = tsdb.Cell{
+					Count: c.Count, Sum: math.Float64frombits(c.Sum),
+					Min: math.Float64frombits(c.Min), Max: math.Float64frombits(c.Max),
+					LastTs: c.LastTs, Last: math.Float64frombits(c.Last),
+				}
 			}
 		}
 	}

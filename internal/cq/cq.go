@@ -21,22 +21,23 @@
 // fully, offsets ascending). Float aggregation is order-sensitive, so
 // this takes a structural argument, not just matching math:
 //
-//   - View state lives in the LAKE's exact cell geometry: rollup cells
-//     keyed by (bucket ts, system, source, component, metric), grouped
-//     into time chunks of SegmentDuration, striped across
-//     tsdb.NumStripes by tsdb.StripeFor. Cells are appended in arrival
-//     order per (topic, partition).
+//   - View state lives in the LAKE's exact cell geometry, built from
+//     tsdb's own rollup-cell kernel: tsdb.CellTable chunks of
+//     tsdb.RollupKey → tsdb.Cell, grouped into time chunks of
+//     SegmentDuration, striped across tsdb.NumStripes by
+//     tsdb.StripeFor. Cells are appended in arrival order per (topic,
+//     partition).
 //   - Producers key records by component, so every series lives in
 //     exactly one partition of one topic ("per-series partition
 //     affinity") and the broker preserves per-partition order. Each
-//     cell therefore sees the same add() sequence the LAKE's ingest
-//     path would apply, regardless of how Poll interleaves partitions.
+//     cell therefore sees the same Add sequence the LAKE's ingest path
+//     would apply, regardless of how Poll interleaves partitions.
 //   - The read path folds cells in stripe order, then chunk order, then
 //     (topic, partition) order, then insertion order — exactly the
 //     first-touch enumeration a partition-major replay produces in
-//     tsdb's own segments — and merges and emits with the same code
-//     shape Run uses (per-stripe partial tables merged in stripe order,
-//     rows sorted by ts then dims).
+//     tsdb's own segments — and does so by calling the code Run runs:
+//     tsdb's fold step per chunk table, its stripe-order merge and its
+//     sorted emit. There is no second copy of the aggregation to drift.
 //
 // Views are crash-consistent: a Pump checkpoints consumer offsets and
 // full view state in one atomic file (internal/atomicfile), and applies
@@ -159,10 +160,16 @@ func (s Spec) validate() error {
 	return nil
 }
 
+// query is the spec's tsdb.Query shape; the window supplies the time
+// range at fold time.
+func (s Spec) query() tsdb.Query {
+	return tsdb.Query{Filters: s.Filters, GroupBy: s.GroupBy, Granularity: s.Granularity, Agg: s.Agg}
+}
+
 // fingerprint canonicalizes the query shape (name excluded) so the same
 // logical standing query registered twice — from any client — resolves
-// to the same view, mirroring the prepared-statement registry's
-// content-addressed handles.
+// to the same view, as the prepared-statement registry's content-addressed
+// handles do.
 func (s Spec) fingerprint() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "agg=%d;gran=%d;win=%d;kind=%d;", s.Agg, s.Granularity, s.Window, s.Kind)
@@ -204,23 +211,13 @@ func viewID(s Spec) string {
 	return fmt.Sprintf("cq%016x", h.Sum64())
 }
 
-// floorMod is the positive modulo tsdb uses for epoch-anchored
-// bucketing; mirrored here so cq buckets bit-match the LAKE's.
-func floorMod(x, m int64) int64 {
-	r := x % m
-	if r < 0 {
-		r += m
-	}
-	return r
-}
-
 // ceilMul rounds d up to a whole multiple of unit.
 func ceilMul(d, unit int64) int64 {
 	if unit <= 0 {
 		return d
 	}
-	if r := floorMod(d, unit); r != 0 {
-		return d + unit - r
+	if start := tsdb.BucketStart(d, unit); start != d {
+		return start + unit
 	}
 	return d
 }

@@ -267,29 +267,29 @@ func quotaError(w http.ResponseWriter, status int, category, msg string, retry t
 // before the wrapped handler commits its status, so the values reflect
 // this request's token. It forwards Flush for the streaming path.
 //
-// It also snapshots X-ODA-Query-Cells-Scanned at commit time: streaming
-// handlers flush every streamFlushEvery points, and once the first
-// chunk is on the wire the header map no longer reflects what the
-// client saw — a value set (or cleared) after the first flush is
-// silently lost. Debiting from the committed snapshot instead of the
-// post-handler header map makes the scan charge match the headers the
-// engine actually sent, however long the body streamed afterwards.
+// It also debits the scan budget at commit time, from the
+// X-ODA-Query-Cells-Scanned header the engine set: streaming handlers
+// flush every streamFlushEvery points, and once the first chunk is on
+// the wire the header map no longer reflects what the client saw. The
+// debit lands before any body byte does, so a client that has read the
+// response always observes the charged balance. The quota headers are
+// set first and so still show the balance before this request's scan.
 type quotaWriter struct {
 	http.ResponseWriter
 	t         *tenant
 	wrote     bool
-	scanCells float64 // X-ODA-Query-Cells-Scanned at commit
+	debitScan bool // heavy path with a scan budget: charge at commit
 }
 
 func (qw *quotaWriter) WriteHeader(code int) {
 	if !qw.wrote {
 		qw.wrote = true
-		if v := qw.Header().Get("X-ODA-Query-Cells-Scanned"); v != "" {
-			if cells, err := strconv.ParseFloat(v, 64); err == nil {
-				qw.scanCells = cells
+		setQuotaHeaders(qw.Header(), qw.t)
+		if qw.debitScan {
+			if cells, err := strconv.ParseFloat(qw.Header().Get("X-ODA-Query-Cells-Scanned"), 64); err == nil && cells > 0 {
+				qw.t.scan.debit(cells)
 			}
 		}
-		setQuotaHeaders(qw.Header(), qw.t)
 	}
 	qw.ResponseWriter.WriteHeader(code)
 }
@@ -366,11 +366,8 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	qw := &quotaWriter{ResponseWriter: w, t: t}
+	qw := &quotaWriter{ResponseWriter: w, t: t, debitScan: t.scan != nil && heavyPath(r.URL.Path)}
 	g.next.ServeHTTP(qw, r)
-	if t.scan != nil && heavyPath(r.URL.Path) && qw.scanCells > 0 {
-		t.scan.debit(qw.scanCells)
-	}
 }
 
 // TenantSnapshot is one tenant's live serving state.

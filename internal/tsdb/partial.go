@@ -8,7 +8,8 @@
 // group does not include are aggregated over cells that still fold in
 // stripe-major, chunk-ascending, insertion order), and the merge folds
 // partials in the same fixed stripe order 0..NumStripes-1 that Run's
-// in-process merge uses. The final sort and emit are shared with Run.
+// in-process merge uses. Scan, merge and emit are the shared kernel
+// (kernel.go), the very code Run executes.
 package tsdb
 
 import (
@@ -29,19 +30,17 @@ type StripeScanStats struct {
 
 // StripePartial is one stripe's partial-aggregation result: the output
 // groups that stripe's cells contribute to, with full aggregation state
-// so any AggKind can be finalized after the merge. The cell order inside
-// a partial is unspecified (hash-table layout); determinism comes from
-// per-group accumulation order, which scanShard fixes at chunk-ascending,
-// insertion order.
+// so any AggKind can be finalized after the merge. Determinism comes
+// from per-group accumulation order, which the stripe scan fixes at
+// chunk-ascending, insertion order.
 type StripePartial struct {
 	Stripe int
 	Stats  StripeScanStats
-	keys   []groupKey
-	cells  []aggCell
+	groups GroupTable
 }
 
 // Groups returns how many output groups the partial carries.
-func (sp *StripePartial) Groups() int { return len(sp.keys) }
+func (sp *StripePartial) Groups() int { return sp.groups.n }
 
 // StripePartial executes q against a single lock stripe of the hot tier
 // and returns that stripe's partial aggregation. The cold tier is not
@@ -54,41 +53,31 @@ func (db *DB) StripePartial(q Query, stripe int) (*StripePartial, error) {
 	if stripe < 0 || stripe >= NumStripes {
 		return nil, fmt.Errorf("%w: stripe %d out of range", ErrBadQuery, stripe)
 	}
-	cq := compileQuery(q)
-	var gt groupTable
-	ss := db.scanShard(stripe, &cq, &gt)
-	sp := &StripePartial{
-		Stripe: stripe,
-		Stats: StripeScanStats{
-			SegmentsScanned: ss.segsScanned,
-			SegmentsPruned:  ss.segsPruned,
-			CellsScanned:    ss.cellsScanned,
-			CellsMatched:    ss.cellsMatched,
-		},
-		keys:  make([]groupKey, 0, gt.n),
-		cells: make([]aggCell, 0, gt.n),
-	}
-	for i := range gt.slots {
-		if s := &gt.slots[i]; s.used {
-			sp.keys = append(sp.keys, s.key)
-			sp.cells = append(sp.cells, s.cell)
-		}
+	p := Compile(q)
+	sp := &StripePartial{Stripe: stripe}
+	ss := db.scanShard(stripe, &p, &sp.groups)
+	sp.Stats = StripeScanStats{
+		SegmentsScanned: ss.segsScanned,
+		SegmentsPruned:  ss.segsPruned,
+		CellsScanned:    ss.cellsScanned,
+		CellsMatched:    ss.cellsMatched,
 	}
 	return sp, nil
 }
 
 // MergeStripePartials folds stripe partials — which must be supplied in
 // ascending stripe order, Run's fixed fold order — into the final result
-// frame, sorted and emitted exactly like Run. Nil entries (stripes with
-// no live owner already reported as errors by the router) are rejected:
-// a silent gap would silently drop that stripe's groups.
+// frame, sorted and emitted exactly like Run. The partials are consumed.
+// Nil entries (stripes with no live owner already reported as errors by
+// the router) are rejected: a silent gap would silently drop that
+// stripe's groups.
 func MergeStripePartials(q Query, parts []*StripePartial) (*schema.Frame, error) {
 	if err := q.validate(); err != nil {
 		return nil, err
 	}
-	groups := make(map[groupKey]*aggCell)
+	tables := make([]*GroupTable, len(parts))
 	prev := -1
-	for _, sp := range parts {
+	for i, sp := range parts {
 		if sp == nil {
 			return nil, fmt.Errorf("%w: nil stripe partial", ErrBadQuery)
 		}
@@ -96,46 +85,10 @@ func MergeStripePartials(q Query, parts []*StripePartial) (*schema.Frame, error)
 			return nil, fmt.Errorf("%w: stripe partials out of order (%d after %d)", ErrBadQuery, sp.Stripe, prev)
 		}
 		prev = sp.Stripe
-		for i := range sp.keys {
-			g, ok := groups[sp.keys[i]]
-			if !ok {
-				g = &aggCell{}
-				groups[sp.keys[i]] = g
-			}
-			g.merge(sp.cells[i])
-		}
+		tables[i] = &sp.groups
 	}
-
-	keys := make([]groupKey, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	nDims := len(q.GroupBy)
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].ts != keys[j].ts {
-			return keys[i].ts < keys[j].ts
-		}
-		for d := 0; d < nDims; d++ {
-			if keys[i].dims[d] != keys[j].dims[d] {
-				return keys[i].dims[d] < keys[j].dims[d]
-			}
-		}
-		return false
-	})
-	out := schema.NewFrame(q.ResultSchema())
-	row := make(schema.Row, 0, nDims+2)
-	for _, k := range keys {
-		row = row[:0]
-		row = append(row, schema.TimeNanos(k.ts))
-		for d := 0; d < nDims; d++ {
-			row = append(row, schema.Str(k.dims[d]))
-		}
-		row = append(row, schema.Float(aggValue(q.Agg, groups[k])))
-		if err := out.AppendRow(row); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	p := Compile(q)
+	return p.Emit(MergeStripes(tables)), nil
 }
 
 // ExportStripes serializes every cell of the given stripes as a
@@ -165,11 +118,11 @@ func (db *DB) ExportStripes(stripes []int) (*schema.Frame, error) {
 				k := &seg.cells.keys[i]
 				c := &seg.cells.cells[i]
 				row := schema.Row{
-					schema.TimeNanos(k.ts), schema.Str(k.system), schema.Str(k.source),
-					schema.Str(k.component), schema.Str(k.metric),
-					schema.Int(c.count), schema.Float(c.sum),
-					schema.Float(c.min), schema.Float(c.max),
-					schema.Float(c.last), schema.TimeNanos(c.lastTs),
+					schema.TimeNanos(k.Ts), schema.Str(k.System), schema.Str(k.Source),
+					schema.Str(k.Component), schema.Str(k.Metric),
+					schema.Int(c.Count), schema.Float(c.Sum),
+					schema.Float(c.Min), schema.Float(c.Max),
+					schema.Float(c.Last), schema.TimeNanos(c.LastTs),
 				}
 				if err := out.AppendRow(row); err != nil {
 					sh.mu.RUnlock()

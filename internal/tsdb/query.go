@@ -16,7 +16,6 @@ package tsdb
 import (
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sort"
 	"strconv"
@@ -107,216 +106,12 @@ func validDim(d string) bool {
 	return false
 }
 
-// dimIndex maps a dimension name onto its fixed slot (0..3). Valid names
-// only; callers validate first.
-func dimIndex(d string) int {
-	switch d {
-	case DimSystem:
-		return 0
-	case DimSource:
-		return 1
-	case DimComponent:
-		return 2
-	default: // DimMetric
-		return 3
-	}
-}
-
-// dimValueAt returns a rollup key's value for a dimension slot.
-func dimValueAt(k *rollupKey, idx int) string {
-	switch idx {
-	case 0:
-		return k.system
-	case 1:
-		return k.source
-	case 2:
-		return k.component
-	default:
-		return k.metric
-	}
-}
-
-type groupKey struct {
-	ts   int64
-	dims [4]string // aligned with q.GroupBy, max 4 dims
-}
-
-// clampNanos converts a bound to unix nanos with saturation, so times
-// outside the representable nano range (e.g. the zero time.Time) compare
-// like their time.Time counterparts instead of wrapping.
-func clampNanos(t time.Time) int64 {
-	if t.Before(minNanoTime) {
-		return math.MinInt64
-	}
-	if t.After(maxNanoTime) {
-		return math.MaxInt64
-	}
-	return t.UnixNano()
-}
-
-var (
-	minNanoTime = time.Unix(0, math.MinInt64)
-	maxNanoTime = time.Unix(0, math.MaxInt64)
-)
-
-// dimFilter is one compiled dimension constraint. Single-value filters
-// (the common dashboard shape: one metric) compare directly; multi-value
-// filters hit a lookup set. Compiling once per query replaces the
-// per-cell map iteration + nested linear scan of the old matchFilters.
-type dimFilter struct {
-	dim    int
-	single string
-	set    map[string]struct{} // nil when single applies
-}
-
-// compiledQuery is the per-query execution plan shared by all workers.
-type compiledQuery struct {
-	fromN, toN  int64
-	granN       int64
-	collapsedTs int64 // output ts when granN == 0
-	filters     []dimFilter
-	groupDims   []int // dimension slot per GroupBy position
-	agg         AggKind
-}
-
-func compileQuery(q Query) compiledQuery {
-	cq := compiledQuery{
-		fromN:       clampNanos(q.From),
-		toN:         clampNanos(q.To),
-		granN:       int64(q.Granularity),
-		collapsedTs: q.From.UnixNano(),
-		agg:         q.Agg,
-	}
-	for d := 0; d < len(dimNames); d++ {
-		vals, ok := q.Filters[dimNames[d]]
-		if !ok {
-			continue
-		}
-		f := dimFilter{dim: d}
-		if len(vals) == 1 {
-			f.single = vals[0]
-		} else {
-			f.set = make(map[string]struct{}, len(vals))
-			for _, v := range vals {
-				f.set[v] = struct{}{}
-			}
-		}
-		cq.filters = append(cq.filters, f)
-	}
-	cq.groupDims = make([]int, len(q.GroupBy))
-	for i, d := range q.GroupBy {
-		cq.groupDims[i] = dimIndex(d)
-	}
-	return cq
-}
-
-// match reports whether a cell's key passes every compiled filter.
-func (cq *compiledQuery) match(k *rollupKey) bool {
-	for i := range cq.filters {
-		f := &cq.filters[i]
-		v := dimValueAt(k, f.dim)
-		if f.set == nil {
-			if v != f.single {
-				return false
-			}
-		} else if _, ok := f.set[v]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// groupHash hashes the output group (bucket ts + grouped dims) for the
-// partial-aggregation table. Only the dimensions the query groups by are
-// hashed — a Go map over groupKey would hash all four plus padding.
-func (cq *compiledQuery) groupHash(ts int64, k *rollupKey) uint32 {
-	const prime32 = 16777619
-	h := uint32(2166136261)
-	for _, d := range cq.groupDims {
-		s := dimValueAt(k, d)
-		for j := 0; j < len(s); j++ {
-			h = (h ^ uint32(s[j])) * prime32
-		}
-		h = (h ^ 0xff) * prime32
-	}
-	return (h ^ uint32(uint64(ts)>>30) ^ uint32(uint64(ts))) * 2654435761
-}
-
-// groupTable is the open-addressed partial-aggregation table — the query
-// path's counterpart of the ingest path's cellTable. Group cells live
-// inline in the slots; one table per shard means no locks and no shared
-// state between scan workers.
-type groupTable struct {
-	slots []groupSlot
-	n     int
-}
-
-type groupSlot struct {
-	hash uint32
-	used bool
-	key  groupKey
-	cell aggCell
-}
-
-// cell returns the aggregation cell for key, creating it if absent. The
-// pointer is only valid until the next cell call (growth moves slots).
-func (t *groupTable) cell(h uint32, key groupKey) *aggCell {
-	if t.n >= len(t.slots)*3/4 {
-		t.grow()
-	}
-	mask := uint32(len(t.slots) - 1)
-	i := h & mask
-	for {
-		s := &t.slots[i]
-		if !s.used {
-			s.used = true
-			s.hash = h
-			s.key = key
-			s.cell = aggCell{} // slots are pooled; clear prior query's state
-			t.n++
-			return &s.cell
-		}
-		if s.hash == h && s.key == key {
-			return &s.cell
-		}
-		i = (i + 1) & mask
-	}
-}
-
-func (t *groupTable) grow() {
-	newCap := 2 * len(t.slots)
-	if newCap == 0 {
-		newCap = 64
-	}
-	old := t.slots
-	t.slots = make([]groupSlot, newCap)
-	mask := uint32(newCap - 1)
-	for oi := range old {
-		s := &old[oi]
-		if !s.used {
-			continue
-		}
-		i := s.hash & mask
-		for t.slots[i].used {
-			i = (i + 1) & mask
-		}
-		t.slots[i] = *s
-	}
-}
-
 // partialSet is one query's per-shard partial-aggregation tables. Sets
 // are pooled per DB: a steady query load reuses grown slot arrays
 // instead of re-allocating ~megabytes of table per query, which keeps
 // the garbage collector out of the scan path.
 type partialSet struct {
-	tables [shardCount]groupTable
-}
-
-func (t *groupTable) reset() {
-	for i := range t.slots {
-		t.slots[i].used = false
-	}
-	t.n = 0
+	tables [shardCount]GroupTable
 }
 
 func (db *DB) getPartials() *partialSet {
@@ -386,7 +181,7 @@ type scanStats struct {
 // scanShard folds one stripe's cells into gt, the shard's private
 // partial-aggregation table. Segments are visited in chunk order so
 // accumulation order — and therefore float rounding — is deterministic.
-func (db *DB) scanShard(si int, cq *compiledQuery, gt *groupTable) scanStats {
+func (db *DB) scanShard(si int, p *Plan, gt *GroupTable) scanStats {
 	var ss scanStats
 	sh := &db.shards[si]
 	sh.mu.RLock()
@@ -400,37 +195,17 @@ func (db *DB) scanShard(si int, cq *compiledQuery, gt *groupTable) scanStats {
 	}
 	sort.Slice(chunks, func(i, j int) bool { return chunks[i] < chunks[j] })
 	segDur := int64(db.opts.SegmentDuration)
-	noFilters := len(cq.filters) == 0
 	for _, chunkN := range chunks {
-		if chunkN >= cq.toN || chunkN+segDur <= cq.fromN {
+		if chunkN >= p.toN || chunkN+segDur <= p.fromN {
 			ss.segsPruned++ // segment pruning by time chunk
 			continue
 		}
 		ss.segsScanned++
 		seg := sh.segments[chunkN]
 		// A segment wholly inside the range needs no per-cell time check.
-		contained := chunkN >= cq.fromN && chunkN+segDur <= cq.toN
-		keys := seg.cells.keys
-		ss.cellsScanned += int64(len(keys))
-		for i := range keys {
-			key := &keys[i]
-			ts := key.ts
-			if !contained && (ts < cq.fromN || ts >= cq.toN) {
-				continue
-			}
-			if !noFilters && !cq.match(key) {
-				continue
-			}
-			ss.cellsMatched++
-			gk := groupKey{ts: cq.collapsedTs}
-			if cq.granN > 0 {
-				gk.ts = ts - floorMod(ts, cq.granN)
-			}
-			for gi, d := range cq.groupDims {
-				gk.dims[gi] = dimValueAt(key, d)
-			}
-			gt.cell(cq.groupHash(gk.ts, key), gk).merge(seg.cells.cells[i])
-		}
+		contained := chunkN >= p.fromN && chunkN+segDur <= p.toN
+		ss.cellsScanned += int64(seg.cells.Len())
+		ss.cellsMatched += p.Fold(gt, &seg.cells, contained)
 	}
 	return ss
 }
@@ -458,7 +233,7 @@ func queryWorkers() int {
 // idle store fans out across all shards; sixteen concurrent queries
 // each run near-serial instead of stampeding 256 goroutines onto the
 // scheduler.
-func (db *DB) aggregate(cq *compiledQuery, st *QueryStats) (*groupTable, *partialSet, error) {
+func (db *DB) aggregate(p *Plan, st *QueryStats) (*GroupTable, *partialSet, error) {
 	ps := db.getPartials()
 	if ct := db.cold.Load(); ct != nil {
 		// Hold the tier shared for the cold fold AND the hot scan: an
@@ -467,7 +242,7 @@ func (db *DB) aggregate(cq *compiledQuery, st *QueryStats) (*groupTable, *partia
 		ct.mu.RLock()
 		defer ct.mu.RUnlock()
 		coldStart := time.Now()
-		if err := ct.scanCold(cq, st, ps); err != nil {
+		if err := ct.scanCold(p, st, ps); err != nil {
 			return nil, ps, err
 		}
 		st.ColdWall = time.Since(coldStart)
@@ -492,7 +267,7 @@ func (db *DB) aggregate(cq *compiledQuery, st *QueryStats) (*groupTable, *partia
 			if s >= shardCount {
 				return
 			}
-			stats[s] = db.scanShard(s, cq, &ps.tables[s])
+			stats[s] = db.scanShard(s, p, &ps.tables[s])
 		}
 	}
 	var wg sync.WaitGroup
@@ -508,26 +283,11 @@ func (db *DB) aggregate(cq *compiledQuery, st *QueryStats) (*groupTable, *partia
 	wg.Wait()
 	st.ScanWall = time.Since(scanStart)
 	mergeStart := time.Now()
-	// Merge partials in stripe order — the fixed fold order that keeps
-	// float accumulation deterministic and identical to RunSerial. The
-	// first non-empty partial doubles as the accumulator, so a query
-	// whose matches live on one stripe merges for free.
-	total := &ps.tables[0]
-	for s := 1; s < shardCount; s++ {
-		p := &ps.tables[s]
-		if p.n == 0 {
-			continue
-		}
-		if total.n == 0 {
-			total = p
-			continue
-		}
-		for i := range p.slots {
-			if sl := &p.slots[i]; sl.used {
-				total.cell(sl.hash, sl.key).merge(sl.cell)
-			}
-		}
+	var parts [shardCount]*GroupTable
+	for s := range parts {
+		parts[s] = &ps.tables[s]
 	}
+	total := MergeStripes(parts[:])
 	st.MergeWall = time.Since(mergeStart)
 	for s := range stats {
 		st.SegmentsScanned += stats[s].segsScanned
@@ -570,49 +330,15 @@ func (db *DB) RunWithStats(q Query) (*schema.Frame, QueryStats, error) {
 			return f, st, nil
 		}
 	}
-	cq := compileQuery(q)
-	total, ps, err := db.aggregate(&cq, &st)
+	p := Compile(q)
+	total, ps, err := db.aggregate(&p, &st)
 	defer db.putPartials(ps)
 	if err != nil {
 		return nil, st, err
 	}
 
 	emitStart := time.Now()
-	type kgc struct {
-		k groupKey
-		c aggCell
-	}
-	cells := make([]kgc, 0, total.n)
-	for i := range total.slots {
-		if s := &total.slots[i]; s.used {
-			cells = append(cells, kgc{s.key, s.cell})
-		}
-	}
-	nDims := len(q.GroupBy)
-	sort.Slice(cells, func(i, j int) bool {
-		if cells[i].k.ts != cells[j].k.ts {
-			return cells[i].k.ts < cells[j].k.ts
-		}
-		for d := 0; d < nDims; d++ {
-			if cells[i].k.dims[d] != cells[j].k.dims[d] {
-				return cells[i].k.dims[d] < cells[j].k.dims[d]
-			}
-		}
-		return false
-	})
-	out := schema.NewFrame(q.ResultSchema())
-	row := make(schema.Row, 0, nDims+2)
-	for i := range cells {
-		row = row[:0]
-		row = append(row, schema.TimeNanos(cells[i].k.ts))
-		for d := 0; d < nDims; d++ {
-			row = append(row, schema.Str(cells[i].k.dims[d]))
-		}
-		row = append(row, schema.Float(aggValue(q.Agg, &cells[i].c)))
-		if err := out.AppendRow(row); err != nil {
-			return nil, st, err
-		}
-	}
+	out := p.Emit(total)
 	st.EmitWall = time.Since(emitStart)
 	// A result missing glacier-pending segments is correct for "what is
 	// readable now" but not stable: the recall completes on wall clock,
@@ -658,7 +384,7 @@ func (db *DB) RunSerial(q Query) (*schema.Frame, error) {
 		return nil, err
 	}
 	granNanos := int64(q.Granularity)
-	groups := make(map[groupKey]*aggCell)
+	groups := make(map[groupKey]*Cell)
 	for si := range db.shards {
 		sh := &db.shards[si]
 		sh.mu.RLock()
@@ -667,7 +393,7 @@ func (db *DB) RunSerial(q Query) (*schema.Frame, error) {
 			chunks = append(chunks, k)
 		}
 		sort.Slice(chunks, func(i, j int) bool { return chunks[i] < chunks[j] })
-		partial := make(map[groupKey]*aggCell)
+		partial := make(map[groupKey]*Cell)
 		for _, chunkN := range chunks {
 			seg := sh.segments[chunkN]
 			segEnd := seg.start.Add(db.opts.SegmentDuration)
@@ -676,7 +402,7 @@ func (db *DB) RunSerial(q Query) (*schema.Frame, error) {
 			}
 			for ci := range seg.cells.keys {
 				key := seg.cells.keys[ci]
-				ts := time.Unix(0, key.ts).UTC()
+				ts := time.Unix(0, key.Ts).UTC()
 				if ts.Before(q.From) || !ts.Before(q.To) {
 					continue
 				}
@@ -685,27 +411,27 @@ func (db *DB) RunSerial(q Query) (*schema.Frame, error) {
 				}
 				gk := groupKey{ts: q.From.UnixNano()}
 				if granNanos > 0 {
-					gk.ts = key.ts - floorMod(key.ts, granNanos)
+					gk.ts = key.Ts - floorMod(key.Ts, granNanos)
 				}
 				for i, d := range q.GroupBy {
 					gk.dims[i] = key.dim(d)
 				}
 				g, ok := partial[gk]
 				if !ok {
-					g = &aggCell{}
+					g = &Cell{}
 					partial[gk] = g
 				}
-				g.merge(seg.cells.cells[ci])
+				g.Merge(seg.cells.cells[ci])
 			}
 		}
 		sh.mu.RUnlock()
 		for gk, c := range partial {
 			g, ok := groups[gk]
 			if !ok {
-				g = &aggCell{}
+				g = &Cell{}
 				groups[gk] = g
 			}
-			g.merge(*c)
+			g.Merge(*c)
 		}
 	}
 
@@ -732,7 +458,7 @@ func (db *DB) RunSerial(q Query) (*schema.Frame, error) {
 		for i := range q.GroupBy {
 			row = append(row, schema.Str(k.dims[i]))
 		}
-		row = append(row, schema.Float(aggValue(q.Agg, cell)))
+		row = append(row, schema.Float(cell.Value(q.Agg)))
 		if err := out.AppendRow(row); err != nil {
 			return nil, err
 		}
@@ -741,7 +467,7 @@ func (db *DB) RunSerial(q Query) (*schema.Frame, error) {
 }
 
 // matchFilters is the uncompiled filter check used by RunSerial.
-func matchFilters(key rollupKey, filters map[string][]string) bool {
+func matchFilters(key RollupKey, filters map[string][]string) bool {
 	for dim, accepted := range filters {
 		v := key.dim(dim)
 		ok := false
@@ -756,26 +482,6 @@ func matchFilters(key rollupKey, filters map[string][]string) bool {
 		}
 	}
 	return true
-}
-
-func aggValue(kind AggKind, c *aggCell) float64 {
-	switch kind {
-	case AggSum:
-		return c.sum
-	case AggMin:
-		return c.min
-	case AggMax:
-		return c.max
-	case AggCount:
-		return float64(c.count)
-	case AggLast:
-		return c.last
-	default: // AggAvg
-		if c.count == 0 {
-			return 0
-		}
-		return c.sum / float64(c.count)
-	}
 }
 
 // TopNEntry is one row of a top-N result.
@@ -809,8 +515,8 @@ func (db *DB) TopN(q Query, dim string, n int) ([]TopNEntry, error) {
 		return nil, err
 	}
 	var st QueryStats
-	cq := compileQuery(q)
-	total, ps, err := db.aggregate(&cq, &st)
+	p := Compile(q)
+	total, ps, err := db.aggregate(&p, &st)
 	defer db.putPartials(ps)
 	if err != nil {
 		return nil, err
@@ -825,7 +531,7 @@ func (db *DB) TopN(q Query, dim string, n int) ([]TopNEntry, error) {
 		if !s.used {
 			continue
 		}
-		e := TopNEntry{Dim: s.key.dims[0], Value: aggValue(q.Agg, &s.cell)}
+		e := TopNEntry{Dim: s.key.dims[0], Value: s.cell.Value(q.Agg)}
 		if len(heap) < n {
 			heap = append(heap, e)
 			// Sift up: a child worse than its parent moves toward the root.

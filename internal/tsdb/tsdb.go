@@ -51,147 +51,10 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-type rollupKey struct {
-	ts                                int64 // rollup bucket start, unix nanos
-	system, source, component, metric string
-}
-
-func (k rollupKey) dim(name string) string {
-	switch name {
-	case DimSystem:
-		return k.system
-	case DimSource:
-		return k.source
-	case DimComponent:
-		return k.component
-	case DimMetric:
-		return k.metric
-	default:
-		return ""
-	}
-}
-
-// aggCell is one rolled-up cell: enough state for every supported
-// aggregation without keeping raw samples.
-type aggCell struct {
-	count    int64
-	sum      float64
-	min, max float64
-	lastTs   int64
-	last     float64
-}
-
-func (c *aggCell) add(tsNanos int64, v float64) {
-	if c.count == 0 || v < c.min {
-		c.min = v
-	}
-	if c.count == 0 || v > c.max {
-		c.max = v
-	}
-	c.count++
-	c.sum += v
-	if tsNanos >= c.lastTs {
-		c.lastTs, c.last = tsNanos, v
-	}
-}
-
-func (c *aggCell) merge(o aggCell) {
-	if o.count == 0 {
-		return
-	}
-	if c.count == 0 || o.min < c.min {
-		c.min = o.min
-	}
-	if c.count == 0 || o.max > c.max {
-		c.max = o.max
-	}
-	c.count += o.count
-	c.sum += o.sum
-	if o.lastTs >= c.lastTs {
-		c.lastTs, c.last = o.lastTs, o.last
-	}
-}
-
 type segment struct {
 	start time.Time
-	cells cellTable
+	cells CellTable
 	rows  int64 // raw observations ingested
-}
-
-// cellTable maps rollupKey to aggCell. It replaces a Go map on the
-// ingest hot path: the probe hash is derived from the series hash already
-// computed for shard striping, and the stored hash makes misses cheap.
-// Layout is structure-of-arrays: a compact open-addressed index (8 bytes
-// per entry) resolves a key to a position in dense, insertion-ordered
-// key and cell arrays. Queries stream sequentially over the packed keys
-// and touch aggregation state only for cells that match — roughly
-// halving scan memory traffic versus keys and cells interleaved in
-// 128-byte hash slots, with no change to the ingest probe cost.
-type cellTable struct {
-	index []cellRef   // open-addressed probe index
-	keys  []rollupKey // dense, insertion order
-	cells []aggCell   // parallel to keys
-}
-
-// cellRef is one index entry: the probe hash plus a 1-based position in
-// the dense arrays (0 marks an empty slot).
-type cellRef struct {
-	hash uint32
-	idx  int32
-}
-
-// n returns the live cell count.
-func (t *cellTable) n() int { return len(t.keys) }
-
-// cellHash mixes the rollup bucket into the series hash. bucketN is in
-// nanos so consecutive buckets differ only in high bits; the shift brings
-// them down and the odd multiplier spreads them.
-func cellHash(seriesH uint32, bucketN int64) uint32 {
-	return (seriesH ^ uint32(uint64(bucketN)>>30)) * 2654435761
-}
-
-// cell returns the cell for key (creating it if absent). h must be
-// cellHash of the key's series and bucket. The returned pointer is only
-// valid until the next cell call — a later insert may grow the arrays.
-func (t *cellTable) cell(h uint32, key rollupKey) *aggCell {
-	if len(t.keys) >= len(t.index)*3/4 { // covers the empty table too
-		t.grow()
-	}
-	mask := uint32(len(t.index) - 1)
-	i := h & mask
-	for {
-		r := t.index[i]
-		if r.idx == 0 {
-			t.keys = append(t.keys, key)
-			t.cells = append(t.cells, aggCell{})
-			t.index[i] = cellRef{hash: h, idx: int32(len(t.keys))}
-			return &t.cells[len(t.cells)-1]
-		}
-		if r.hash == h && t.keys[r.idx-1] == key {
-			return &t.cells[r.idx-1]
-		}
-		i = (i + 1) & mask
-	}
-}
-
-func (t *cellTable) grow() {
-	newCap := 2 * len(t.index)
-	if newCap == 0 {
-		newCap = 64
-	}
-	old := t.index
-	t.index = make([]cellRef, newCap)
-	mask := uint32(newCap - 1)
-	for _, r := range old {
-		if r.idx == 0 {
-			continue
-		}
-		i := r.hash & mask
-		for t.index[i].idx != 0 {
-			i = (i + 1) & mask
-		}
-		t.index[i] = r
-	}
 }
 
 // shardCount is the number of lock stripes. Series are hashed across
@@ -322,15 +185,14 @@ func shardIndex(component, metric string) uint32 {
 }
 
 // NumStripes is the number of lock stripes (and the fixed fold order
-// width) of every DB. Exported for mirrors of the deterministic fold —
-// the continuous-query engine (internal/cq) keeps its view state in the
-// same stripe geometry so incremental reads replay Run's exact float
-// accumulation order.
+// width) of every DB. The continuous-query engine (internal/cq) keeps
+// its view state in the same stripe geometry, so folding it through the
+// shared kernel replays Run's exact float accumulation order.
 const NumStripes = shardCount
 
 // StripeFor maps a series onto its lock stripe — the same FNV-1a hash
-// the ingest and query paths use. Exported so external mirrors of the
-// fold order (internal/cq) cannot drift from the store's own striping.
+// the ingest and query paths use, so state kept outside a DB in stripe
+// geometry (internal/cq) cannot drift from the store's own striping.
 func StripeFor(component, metric string) int {
 	return int(shardIndex(component, metric))
 }
@@ -339,11 +201,11 @@ func StripeFor(component, metric string) int {
 // must be held. h is the record's seriesHash and bucketN its
 // epoch-anchored rollup bucket in nanos.
 func insertLocked(sh *dbShard, seg *segment, h uint32, bucketN int64, o *schema.Observation) {
-	key := rollupKey{
-		ts: bucketN, system: o.System, source: o.Source,
-		component: o.Component, metric: o.Metric,
+	key := RollupKey{
+		Ts: bucketN, System: o.System, Source: o.Source,
+		Component: o.Component, Metric: o.Metric,
 	}
-	seg.cells.cell(cellHash(h, bucketN), key).add(o.Ts.UnixNano(), o.Value)
+	seg.cells.cell(cellHash(h, bucketN), key).Add(o.Ts.UnixNano(), o.Value)
 	seg.rows++
 	sh.ingested++
 }
@@ -524,8 +386,8 @@ var RollupSchema = schema.New(
 // those segments.
 func (db *DB) Export(cutoff time.Time) (*schema.Frame, error) {
 	type kv struct {
-		k rollupKey
-		c aggCell
+		k RollupKey
+		c Cell
 	}
 	var cells []kv
 	for si := range db.shards {
@@ -543,28 +405,28 @@ func (db *DB) Export(cutoff time.Time) (*schema.Frame, error) {
 	}
 	sort.Slice(cells, func(i, j int) bool {
 		a, b := cells[i].k, cells[j].k
-		if a.ts != b.ts {
-			return a.ts < b.ts
+		if a.Ts != b.Ts {
+			return a.Ts < b.Ts
 		}
-		if a.system != b.system {
-			return a.system < b.system
+		if a.System != b.System {
+			return a.System < b.System
 		}
-		if a.source != b.source {
-			return a.source < b.source
+		if a.Source != b.Source {
+			return a.Source < b.Source
 		}
-		if a.component != b.component {
-			return a.component < b.component
+		if a.Component != b.Component {
+			return a.Component < b.Component
 		}
-		return a.metric < b.metric
+		return a.Metric < b.Metric
 	})
 	out := schema.NewFrame(RollupSchema)
 	for _, cell := range cells {
 		row := schema.Row{
-			schema.TimeNanos(cell.k.ts), schema.Str(cell.k.system), schema.Str(cell.k.source),
-			schema.Str(cell.k.component), schema.Str(cell.k.metric),
-			schema.Int(cell.c.count), schema.Float(cell.c.sum),
-			schema.Float(cell.c.min), schema.Float(cell.c.max),
-			schema.Float(cell.c.last), schema.TimeNanos(cell.c.lastTs),
+			schema.TimeNanos(cell.k.Ts), schema.Str(cell.k.System), schema.Str(cell.k.Source),
+			schema.Str(cell.k.Component), schema.Str(cell.k.Metric),
+			schema.Int(cell.c.Count), schema.Float(cell.c.Sum),
+			schema.Float(cell.c.Min), schema.Float(cell.c.Max),
+			schema.Float(cell.c.Last), schema.TimeNanos(cell.c.LastTs),
 		}
 		if err := out.AppendRow(row); err != nil {
 			return nil, err
@@ -584,23 +446,23 @@ func (db *DB) ImportRollups(f *schema.Frame) error {
 	for i := 0; i < f.Len(); i++ {
 		r := f.Row(i)
 		bucket := r[0].TimeVal()
-		key := rollupKey{
-			ts: bucket.UnixNano(), system: r[1].StrVal(), source: r[2].StrVal(),
-			component: r[3].StrVal(), metric: r[4].StrVal(),
+		key := RollupKey{
+			Ts: bucket.UnixNano(), System: r[1].StrVal(), Source: r[2].StrVal(),
+			Component: r[3].StrVal(), Metric: r[4].StrVal(),
 		}
-		cell := aggCell{
-			count: r[5].IntVal(), sum: r[6].FloatVal(),
-			min: r[7].FloatVal(), max: r[8].FloatVal(),
-			last: r[9].FloatVal(), lastTs: r[10].TimeVal().UnixNano(),
+		cell := Cell{
+			Count: r[5].IntVal(), Sum: r[6].FloatVal(),
+			Min: r[7].FloatVal(), Max: r[8].FloatVal(),
+			Last: r[9].FloatVal(), LastTs: r[10].TimeVal().UnixNano(),
 		}
 		chunkN, _ := db.chunkAndBucket(bucket)
-		h := seriesHash(key.component, key.metric)
+		h := seriesHash(key.Component, key.Metric)
 		sh := &db.shards[h%shardCount]
 		sh.mu.Lock()
 		seg := sh.segmentLocked(chunkN)
-		seg.cells.cell(cellHash(h, key.ts), key).merge(cell)
-		seg.rows += cell.count
-		sh.ingested += cell.count
+		seg.cells.cell(cellHash(h, key.Ts), key).Merge(cell)
+		seg.rows += cell.Count
+		sh.ingested += cell.Count
 		sh.version.Add(1)
 		sh.mu.Unlock()
 	}
@@ -647,20 +509,10 @@ func (db *DB) Stats() Stats {
 		st.RawIngested += sh.ingested
 		for k, s := range sh.segments {
 			chunks[k] = struct{}{}
-			st.RollupCells += int64(s.cells.n())
+			st.RollupCells += int64(s.cells.Len())
 		}
 		sh.mu.RUnlock()
 	}
 	st.Segments = len(chunks)
 	return st
-}
-
-// floorMod returns x mod m with the sign of m (m > 0), so bucket
-// alignment is correct for timestamps before the epoch too.
-func floorMod(x, m int64) int64 {
-	r := x % m
-	if r < 0 {
-		r += m
-	}
-	return r
 }

@@ -126,6 +126,39 @@ func TestLastUsesLatestTimestamp(t *testing.T) {
 	}
 }
 
+// TestLastBeforeEpoch: a cell whose samples all predate 1970 has negative
+// timestamps, which must still win AggLast over the empty state — in the
+// parallel engine, the serial reference and a cell-to-cell merge alike.
+func TestLastBeforeEpoch(t *testing.T) {
+	db := New(Options{RollupInterval: time.Minute, QueryCacheSize: -1})
+	t0 := time.Date(1969, 12, 31, 23, 0, 0, 0, time.UTC)
+	db.Insert(schema.Observation{Ts: t0, System: "s", Source: "x", Component: "n", Metric: "m", Value: 7})
+	db.Insert(schema.Observation{Ts: t0.Add(time.Second), System: "s", Source: "x", Component: "n", Metric: "m", Value: 9})
+	q := Query{From: t0, To: t0.Add(time.Hour), Agg: AggLast}
+	for name, run := range map[string]func(Query) (*schema.Frame, error){"Run": db.Run, "RunSerial": db.RunSerial} {
+		f, err := run(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Len() != 1 || f.Row(0)[1].FloatVal() != 9 {
+			t.Fatalf("%s: last = %v, want [9]", name, f.Rows())
+		}
+	}
+	// The scatter-gather path merges the cell into fresh, empty group
+	// cells twice: once in the stripe scan, once in the final merge.
+	sp, err := db.StripePartial(q, StripeFor("n", "m"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := MergeStripePartials(q, []*StripePartial{sp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Len() != 1 || f.Row(0)[1].FloatVal() != 9 {
+		t.Fatalf("MergeStripePartials: last = %v, want [9]", f.Rows())
+	}
+}
+
 func TestTimeRangeExcludes(t *testing.T) {
 	db := seededDB(t)
 	f, err := db.Run(Query{
