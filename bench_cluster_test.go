@@ -57,12 +57,26 @@ func benchClusterMsgs(gen, n int) []stream.Message {
 // zero follower round-trips), three nodes at RF=1 (ring fan-out, still
 // no quorum wait), and three nodes at RF=2 (every batch waits for a
 // follower ack before committing). The RF=2/RF=1 gap is the price of
-// surviving a node loss with zero committed-record loss.
+// surviving a node loss with zero committed-record loss. The
+// nodes=3/rf=2/wal row adds per-node WALs in a temporary directory:
+// every batch is durable on the leader and the follower (one WAL group
+// sync per node lane) before it commits, so it prices the fsyncs.
 func BenchmarkClusterPublish(b *testing.B) {
 	const batch = 64
-	for _, g := range []struct{ n, rf int }{{1, 1}, {3, 1}, {3, 2}} {
-		b.Run(fmt.Sprintf("nodes=%d/rf=%d", g.n, g.rf), func(b *testing.B) {
-			c := benchCluster(b, g.n, g.rf)
+	for _, g := range []struct {
+		n, rf int
+		wal   bool
+	}{{1, 1, false}, {3, 1, false}, {3, 2, false}, {3, 2, true}} {
+		name := fmt.Sprintf("nodes=%d/rf=%d", g.n, g.rf)
+		if g.wal {
+			name += "/wal"
+		}
+		b.Run(name, func(b *testing.B) {
+			walDir := ""
+			if g.wal {
+				walDir = b.TempDir()
+			}
+			c := benchClusterWAL(b, g.n, g.rf, walDir)
 			// Build every batch up front: record formatting is input
 			// preparation, not publish cost, and stays out of the timer.
 			batches := make([][]stream.Message, 0, (b.N+batch-1)/batch)
@@ -78,8 +92,8 @@ func BenchmarkClusterPublish(b *testing.B) {
 			b.StopTimer()
 			recsPerSec := float64(b.N) / b.Elapsed().Seconds()
 			b.ReportMetric(recsPerSec, "records/sec")
-			recordBenchRow(fmt.Sprintf("ClusterPublish/nodes=%d/rf=%d", g.n, g.rf), map[string]any{
-				"nodes": g.n, "rf": g.rf, "batch": batch,
+			recordBenchRow("ClusterPublish/"+name, map[string]any{
+				"nodes": g.n, "rf": g.rf, "batch": batch, "wal": g.wal,
 				"records":         b.N,
 				"records_per_sec": recsPerSec,
 				"ns_per_record":   float64(b.Elapsed().Nanoseconds()) / float64(b.N),

@@ -132,7 +132,7 @@ func (c Config) nodeWAL(id string) wal.Config {
 // other path (a Repair pass, or an earlier partition of the same
 // partial-failed batch) finished the commit, so the retry dedupes
 // without touching the log; the state is dropped only once the
-// publisher observes success for its whole batch (ackCommitted), so a
+// publisher observes success for its whole batch (see publish), so a
 // later batch that happens to carry identical content appends as a new
 // publish instead of being silently deduped.
 type staged struct {
@@ -158,7 +158,57 @@ type partitionState struct {
 	acked     map[string]int64 // replica → replicated end offset (as of last sync)
 	hw        int64            // high watermark: reads stop here
 	inflight  *staged
-	truncs    []hwTrunc // beyond-quorum hw truncations, for stale-WAL fencing
+	// unacked holds committed batches whose publisher has not yet
+	// observed whole-batch success, displaced from inflight by another
+	// publisher's batch (oldest first, at most maxUnacked). A retry of
+	// one dedupes against it instead of appending a second copy.
+	unacked []staged
+	truncs  []hwTrunc // beyond-quorum hw truncations, for stale-WAL fencing
+}
+
+// maxUnacked bounds a partition's displaced dedupe entries: a publisher
+// that gives up after a partial failure never clears its entry, so the
+// oldest entries are dropped.
+const maxUnacked = 16
+
+// findUnacked returns the displaced committed batch with this
+// fingerprint and length, or nil. ps.mu held.
+func (ps *partitionState) findUnacked(fp uint64, n int) *staged {
+	for i := range ps.unacked {
+		if st := &ps.unacked[i]; st.fp == fp && st.n == n {
+			return st
+		}
+	}
+	return nil
+}
+
+// ackLocked drops a batch's dedupe state once its publisher observed
+// whole-batch success. A mismatched fingerprint means another publisher
+// already staged new work; leave it. ps.mu held.
+func (ps *partitionState) ackLocked(fp uint64, n int) {
+	if st := ps.inflight; st != nil && st.committed && st.fp == fp && st.n == n {
+		ps.inflight = nil
+		return
+	}
+	for i, st := range ps.unacked {
+		if st.fp == fp && st.n == n {
+			ps.unacked = append(ps.unacked[:i], ps.unacked[i+1:]...)
+			return
+		}
+	}
+}
+
+// displaceLocked clears the staged slot for a new batch, keeping a
+// committed batch's dedupe state in unacked until its publisher
+// observes success. ps.mu held.
+func (ps *partitionState) displaceLocked() {
+	if st := ps.inflight; st != nil && st.committed {
+		if len(ps.unacked) == maxUnacked {
+			ps.unacked = append(ps.unacked[:0], ps.unacked[1:]...)
+		}
+		ps.unacked = append(ps.unacked, *st)
+	}
+	ps.inflight = nil
 }
 
 // hwTrunc records one beyond-quorum truncation: at epoch, the committed
@@ -318,7 +368,7 @@ func (c *Cluster) preference(key string) []string {
 }
 
 func (c *Cluster) stripePreference(s int) []string {
-	return c.ring.Owners(stripeKey(s), len(c.nodes))
+	return c.preference(stripeKey(s))
 }
 
 // CreateTopic creates a replicated topic on every node and assigns each
@@ -613,10 +663,19 @@ func (c *Cluster) failoverLocked(t *topicState, ps *partitionState) error {
 		c.truncatedHW.Add(ps.hw - bestEnd)
 		ps.hw = bestEnd
 		ps.truncs = append(ps.truncs, hwTrunc{epoch: ps.epoch, off: bestEnd})
+		// A displaced batch cut by the truncation is no longer committed
+		// whole; it must not dedupe its publisher's retry.
+		keep := ps.unacked[:0]
+		for _, st := range ps.unacked {
+			if st.first+int64(st.n) <= bestEnd {
+				keep = append(keep, st)
+			}
+		}
+		ps.unacked = keep
 	}
 	if st := ps.inflight; st != nil {
 		// Followers may already hold part or all of the staged region
-		// (syncFollowerLocked ships chunks before the quorum check), so
+		// (ship moves chunks before the quorum check), so
 		// the promoted log can retain it. Keep the fingerprint whenever a
 		// survivor holds any of it, so the producer's retry resumes that
 		// region — re-appending only the missing suffix — instead of

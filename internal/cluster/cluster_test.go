@@ -306,3 +306,58 @@ func TestClusterIdenticalBatchRepublish(t *testing.T) {
 		}
 	}
 }
+
+// TestClusterRetryAfterInterleavedPublish: a batch commits on one
+// partition and misses quorum on another; before its publisher retries,
+// a second publisher's batch commits on the first partition. The retry
+// must still dedupe the partition that already committed — the second
+// batch displaced the first one's dedupe state, it must not erase it —
+// so every record lands exactly once.
+func TestClusterRetryAfterInterleavedPublish(t *testing.T) {
+	c := testCluster(t, 3, 2)
+	const topic = "telemetry"
+	if err := c.CreateTopic(topic, stream.TopicConfig{Partitions: 4}); err != nil {
+		t.Fatal(err)
+	}
+	tp, err := c.topic(topic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	link := func(p int) [2]string { return [2]string{tp.parts[p].leader, tp.parts[p].followers[0]} }
+	// ok commits; blocked shares no leader→follower link with it.
+	ok, blocked := 0, -1
+	for p := 1; p < 4 && blocked < 0; p++ {
+		if link(p) != link(ok) {
+			blocked = p
+		}
+	}
+	if blocked < 0 {
+		t.Fatal("every partition replicates over one link")
+	}
+	keyFor := func(p int) []byte {
+		for i := 0; ; i++ {
+			if k := []byte(fmt.Sprintf("k%d", i)); expectPartition(k, 4) == p {
+				return k
+			}
+		}
+	}
+	first := []stream.Message{
+		{Key: keyFor(ok), Value: []byte("a-ok")},
+		{Key: keyFor(blocked), Value: []byte("a-blocked")},
+	}
+	l := link(blocked)
+	c.Transport().PartitionLink(l[0], l[1])
+	if _, err := c.PublishBatch(topic, first); !errors.Is(err, ErrQuorumLost) {
+		t.Fatalf("publish across the cut link = %v, want ErrQuorumLost", err)
+	}
+	c.Transport().HealLink(l[0], l[1])
+	second := []stream.Message{{Key: keyFor(ok), Value: []byte("b-ok")}}
+	if _, err := c.PublishBatch(topic, second); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.PublishBatch(topic, first); err != nil {
+		t.Fatalf("retry: %v", err)
+	}
+	want := map[int][]string{ok: {"a-ok", "b-ok"}, blocked: {"a-blocked"}}
+	assertExactSequences(t, c, topic, want, "after the retry")
+}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -10,14 +11,21 @@ import (
 	"odakit/internal/resilience"
 	"odakit/internal/schema"
 	"odakit/internal/tsdb"
+	"odakit/internal/wal"
 )
 
 // InsertBatch replicates a batch of observations into the LAKE: each
 // observation's stripe (tsdb.StripeFor, the engine's own placement) is
-// applied to every in-sync replica of that stripe. A per-stripe cluster
-// mutex serializes writers, so every replica ingests a stripe's
-// observations in one global order — which is why any replica can answer
-// a stripe scan byte-identically.
+// applied to every in-sync replica of that stripe. The touched stripes'
+// cluster mutexes serialize writers, so every replica ingests a
+// stripe's observations in one global order — which is why any replica
+// can answer a stripe scan byte-identically.
+//
+// The router locks the touched stripes in ascending order; then one
+// lane per replica node applies its stripes in ascending order and
+// makes them durable with one WAL group sync (insertLane), the lanes
+// running concurrently; then the router advances each stripe's
+// sequence in ascending order.
 //
 // A replica that fails an insert after retries is marked out-of-sync and
 // dropped from the stripe's serving set (Repair resyncs it from a
@@ -28,46 +36,94 @@ func (c *Cluster) InsertBatch(obs []schema.Observation) error {
 	if len(obs) == 0 {
 		return nil
 	}
-	byStripe := make(map[int][]schema.Observation)
+	var byStripe [tsdb.NumStripes][]schema.Observation
 	for _, o := range obs {
 		s := tsdb.StripeFor(o.Component, o.Metric)
 		byStripe[s] = append(byStripe[s], o)
 	}
-	stripes := make([]int, 0, len(byStripe))
-	for s := range byStripe {
-		stripes = append(stripes, s)
-	}
-	sort.Ints(stripes)
-	var firstErr error
-	for _, s := range stripes {
-		if err := c.insertStripe(s, byStripe[s]); err != nil && firstErr == nil {
-			firstErr = err
+	var ws []stripeWork
+	for s, sub := range byStripe {
+		if len(sub) > 0 {
+			c.stripeMu[s].Lock()
+			ws = append(ws, stripeWork{s: s, obs: sub})
 		}
+	}
+	defer func() {
+		for _, w := range ws {
+			c.stripeMu[w.s].Unlock()
+		}
+	}()
+	var firstErr error
+	var ids []string
+	for i := range ws {
+		w := &ws[i]
+		targets := c.stripeServers(w.s, true)
+		if len(targets) == 0 {
+			if firstErr == nil {
+				firstErr = fmt.Errorf("%w: %d", ErrStripeDown, w.s)
+			}
+			continue
+		}
+		w.seq = c.stripeSeqs[w.s].Load() + 1
+		w.replicas, w.ok = targets, make([]bool, len(targets))
+		ids = append(ids, targets...)
+	}
+	c.runLanes(ids, func(id string) { c.insertLane(id, ws) })
+	for _, w := range ws {
+		if w.replicas == nil {
+			continue
+		}
+		applied := 0
+		for j, id := range w.replicas {
+			if !w.ok[j] {
+				c.markStripeUnsynced(w.s, id)
+				continue
+			}
+			c.node(id).stripeSeq[w.s].Store(w.seq)
+			applied++
+		}
+		if applied == 0 {
+			if firstErr == nil {
+				firstErr = fmt.Errorf("%w: %d (all replicas failed the insert)", ErrStripeDown, w.s)
+			}
+			continue
+		}
+		c.stripeSeqs[w.s].Store(w.seq)
 	}
 	return firstErr
 }
 
-// insertStripe applies one stripe's sub-batch to every in-sync replica
-// under the next cluster-wide stripe sequence number. Each replica logs
-// the batch (append + fsync) on its WAL before counting toward the ack;
-// the cluster sequence advances only once some replica applied it, so a
-// WAL replay can always tell a fully-caught-up replica from one missing
-// a suffix.
-func (c *Cluster) insertStripe(s int, sub []schema.Observation) error {
-	c.stripeMu[s].Lock()
-	defer c.stripeMu[s].Unlock()
-	targets := c.stripeServers(s, true)
-	if len(targets) == 0 {
-		return fmt.Errorf("%w: %d", ErrStripeDown, s)
-	}
-	seq := c.stripeSeqs[s].Load() + 1
-	applied := 0
-	for _, id := range targets {
-		n := c.node(id)
-		if n == nil || !n.Alive() {
-			c.markStripeUnsynced(s, id)
+// stripeWork is one stripe's share of an insert batch: its sub-batch,
+// the cluster-wide sequence number it commits under, its in-sync
+// replicas, and per replica whether the replica's lane applied the
+// batch and made it durable (each lane writes only its own ok entry).
+type stripeWork struct {
+	s        int
+	obs      []schema.Observation
+	seq      int64
+	replicas []string
+	ok       []bool
+}
+
+// insertLane is one replica node's share of an insert batch: for each
+// of its stripes in ascending order it crosses the transport gate,
+// inserts into the node's lake and stages the batch on the stripe's WAL
+// under its sequence number; then one group sync makes them all
+// durable before any of them counts toward the insert's ack. The
+// cluster sequence advances only once some replica applied a stripe's
+// batch, so a WAL replay can always tell a fully-caught-up replica from
+// one missing a suffix.
+func (c *Cluster) insertLane(id string, ws []stripeWork) {
+	n := c.node(id)
+	var logs []*wal.Log
+	var pending []*bool
+	for i := range ws {
+		w := &ws[i]
+		j := slices.Index(w.replicas, id)
+		if j < 0 || n == nil || !n.Alive() {
 			continue
 		}
+		s, sub := w.s, w.obs
 		err := resilience.Retry(context.Background(), c.cfg.Retry, func() error {
 			if err := c.transport.call(OpInsert, routerID, id); err != nil {
 				return err
@@ -82,24 +138,26 @@ func (c *Cluster) insertStripe(s int, sub []schema.Observation) error {
 			// its position in the stripe history is unknown (-1), so a
 			// WAL suffix catch-up can never resume from it.
 			n.stripeSeq[s].Store(-1)
-			c.markStripeUnsynced(s, id)
 			continue
 		}
-		if err := c.walAppendInsert(n, s, seq, sub); err != nil {
+		l, err := c.walAppendInsert(n, s, w.seq, sub)
+		if err != nil {
 			// The WAL failure crashed the node; its lake held the batch
 			// but nothing durable says so, which is exactly the state a
-			// crash after apply would leave — drop it from serving.
-			c.markStripeUnsynced(s, id)
+			// crash after apply would leave — it drops from serving.
 			continue
 		}
-		n.stripeSeq[s].Store(seq)
-		applied++
+		w.ok[j] = true
+		if l != nil {
+			logs = append(logs, l)
+			pending = append(pending, &w.ok[j])
+		}
 	}
-	if applied == 0 {
-		return fmt.Errorf("%w: %d (all replicas failed the insert)", ErrStripeDown, s)
+	if err := c.walGroupSync(n, logs); err != nil {
+		for _, ok := range pending {
+			*ok = false
+		}
 	}
-	c.stripeSeqs[s].Store(seq)
-	return nil
 }
 
 // stripeServers returns stripe s's in-sync replica set, sorted;
@@ -167,15 +225,26 @@ func (c *Cluster) Run(q tsdb.Query) (*schema.Frame, error) {
 // scatter fans the query's stripe scans across the owning nodes and
 // returns the partials in ascending stripe order plus the node fan-out.
 func (c *Cluster) scatter(q tsdb.Query) ([]*tsdb.StripePartial, int, error) {
-	// Pick each stripe's scan owner: the smallest live in-sync replica,
-	// deterministic so repeated queries hit warm nodes.
+	// Pick each stripe's scan owner: the first live in-sync replica in
+	// the stripe's ring-preference order. It is deterministic, so
+	// repeated queries hit warm nodes, and it spreads the scans the way
+	// the ring spreads the stripes (the smallest replica ID would hand
+	// one node most of them). Replicas are byte-identical, so the owner
+	// never changes an answer.
 	byNode := make(map[string][]int)
 	for s := 0; s < tsdb.NumStripes; s++ {
 		live := c.stripeServers(s, true)
 		if len(live) == 0 {
 			return nil, 0, fmt.Errorf("%w: %d", ErrStripeDown, s)
 		}
-		byNode[live[0]] = append(byNode[live[0]], s)
+		owner := live[0]
+		for _, id := range c.stripePreference(s) {
+			if slices.Contains(live, id) {
+				owner = id
+				break
+			}
+		}
+		byNode[owner] = append(byNode[owner], s)
 	}
 	parts := make([]*tsdb.StripePartial, tsdb.NumStripes)
 	var wg sync.WaitGroup

@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 
 	"odakit/internal/resilience"
 	"odakit/internal/stream"
+	"odakit/internal/wal"
 )
 
 // fnv32 matches the broker's keyed-routing hash, so a keyed message
@@ -74,48 +77,28 @@ func (c *Cluster) PublishBatch(topicName string, msgs []stream.Message) (int, er
 		}
 		byPart[p] = append(byPart[p], m)
 	}
+	works := make([]partWork, 0, len(byPart))
+	for p, sub := range byPart {
+		if len(sub) > 0 {
+			works = append(works, partWork{t: t, ps: t.parts[p], msgs: sub, fp: fingerprintMsgs(sub)})
+		}
+	}
+	c.publish(works)
 	published := 0
 	var failed []stream.Message
 	var failErr error
-	for p, sub := range byPart {
-		if len(sub) == 0 {
+	for _, w := range works {
+		if w.err != nil {
+			failed = append(failed, w.msgs...)
+			failErr = w.err
 			continue
 		}
-		if _, err := c.publishPart(t, t.parts[p], sub); err != nil {
-			failed = append(failed, sub...)
-			failErr = err
-			continue
-		}
-		published += len(sub)
+		published += len(w.msgs)
 	}
 	if failErr != nil {
 		return published, &stream.PartialPublishError{Published: published, Failed: failed, Err: failErr}
 	}
-	// The whole batch committed and the caller is about to observe
-	// success, so no retry of it can arrive: drop each partition's dedup
-	// state. Until this point it must survive — a partial failure retries
-	// the full batch, and the partitions that already committed dedupe
-	// their sub-batches by fingerprint. Dropping it now is what lets a
-	// later batch with identical content (heartbeats, constant-valued
-	// events) append as a new publish instead of being silently deduped.
-	for p, sub := range byPart {
-		if len(sub) == 0 {
-			continue
-		}
-		c.ackCommitted(t.parts[p], fingerprintMsgs(sub), len(sub))
-	}
 	return published, nil
-}
-
-// ackCommitted drops a partition's committed-batch dedup state once the
-// publisher has observed success for its whole batch. A mismatched
-// fingerprint means another publisher already staged new work; leave it.
-func (c *Cluster) ackCommitted(ps *partitionState, fp uint64, n int) {
-	ps.mu.Lock()
-	if st := ps.inflight; st != nil && st.committed && st.fp == fp && st.n == n {
-		ps.inflight = nil
-	}
-	ps.mu.Unlock()
 }
 
 // Publish publishes one record, returning its partition and committed
@@ -131,195 +114,297 @@ func (c *Cluster) Publish(topicName string, key, value []byte) (int, int64, erro
 	} else {
 		p = int(fnv32(key) % uint32(len(t.parts)))
 	}
-	ps := t.parts[p]
 	msgs := []stream.Message{{Key: key, Value: value}}
-	// publishPart reports the record's committed offset from the staged
-	// region while it still holds the partition lock; reading hw-1 after
-	// relocking would race with concurrent publishers to the partition.
-	off, err := c.publishPart(t, ps, msgs)
-	if err != nil {
+	works := []partWork{{t: t, ps: t.parts[p], msgs: msgs, fp: fingerprintMsgs(msgs)}}
+	c.publish(works)
+	if err := works[0].err; err != nil {
 		return 0, 0, err
 	}
-	c.ackCommitted(ps, fingerprintMsgs(msgs), len(msgs))
-	return p, off, nil
+	return p, works[0].first, nil
 }
 
-// publishPart runs one partition's publish protocol: stage the batch on
-// the leader log, replicate [hw, leaderEnd) to followers, commit (advance
-// hw) once Quorum replicas hold it. The partition lock serializes
-// publishes, so at most one staged batch exists at a time — that is what
-// lets a fingerprint match identify "the same batch, retried". It
-// returns the batch's first committed offset, taken from the staged
-// region while the lock is held.
-func (c *Cluster) publishPart(t *topicState, ps *partitionState, msgs []stream.Message) (int64, error) {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if err := c.ensureLeaderLocked(t, ps); err != nil {
-		return 0, err
+// partWork is one partition's share of a publish batch — or of a repair
+// pass, which carries no messages — as it moves through the stage, ship
+// and commit phases. The router fills it in under the partition lock; a
+// lane writes only its own results into it (err and staged for a
+// leader's lane, one ships element for a follower's), and selects its
+// partitions by fields no lane writes (stage, ps.leader, ps.followers).
+type partWork struct {
+	t    *topicState
+	ps   *partitionState
+	msgs []stream.Message // the partition's sub-batch; nil for a repair pass
+	fp   uint64           // fingerprint of msgs, hashed once per publish
+
+	// stage is what the leader must append: nil (the batch already
+	// committed, or a repair pass), the suffix a failover lost from the
+	// staged batch being retried, or the whole batch. at is the leader
+	// end offset a resumed suffix must land at, -1 for a new batch.
+	stage  []stream.Message
+	at     int64
+	staged int64 // where the stage lane appended
+	done   bool  // the retried batch had already committed
+
+	first int64        // the batch's first committed offset
+	lend  int64        // the leader end offset followers must reach
+	ships []shipResult // one per ps.followers entry, written by its lane
+	err   error
+}
+
+// shipResult is one follower's replication outcome for one partition.
+type shipResult struct {
+	end     int64 // follower end offset once caught up
+	shipped bool  // records moved: the follower's log grew
+	err     error
+}
+
+// publish runs the publish protocol for a batch's partitions, given in
+// ascending partition order, holding every partition lock for the
+// whole batch (taken in that order, so concurrent batches cannot
+// deadlock). The lock is what admits at most one staged batch per
+// partition — which is what lets a fingerprint match identify "the same
+// batch, retried".
+//
+//   - The router resolves each partition: a live leader, and what it
+//     must stage (resolveLocked).
+//   - Stage: one lane per leader node appends its partitions and makes
+//     them durable with one WAL group sync (stageLocked).
+//   - Ship and commit: one lane per follower node replicates and group
+//     syncs; then the router commits each partition that reached
+//     quorum (commitLocked).
+//
+// Once every partition committed, the caller is about to observe
+// success, so no retry of the batch can arrive: each partition's dedupe
+// state is dropped. Until then it must survive — a partial failure
+// retries the full batch, and the partitions that already committed
+// dedupe their sub-batches by fingerprint. Dropping it is what lets a
+// later batch with identical content (heartbeats, constant-valued
+// events) append as a new publish instead of being silently deduped.
+func (c *Cluster) publish(works []partWork) {
+	for i := range works {
+		works[i].ps.mu.Lock()
 	}
-	fp := fingerprintMsgs(msgs)
-	if st := ps.inflight; st != nil && st.fp == fp && st.n == len(msgs) {
+	defer func() {
+		for i := range works {
+			works[i].ps.mu.Unlock()
+		}
+	}()
+	for i := range works {
+		c.resolveLocked(&works[i])
+	}
+	c.stageLocked(works)
+	c.commitLocked(works)
+	for i := range works {
+		if works[i].err != nil {
+			return
+		}
+	}
+	for _, w := range works {
+		w.ps.ackLocked(w.fp, len(w.msgs))
+	}
+}
+
+// resolveLocked settles one partition before staging: it ensures a live
+// leader (failing over if needed) and decides what the leader must
+// append. The new leader's end offset of a retried staged batch can
+// only be inside [hw, first+n]: below first+n when the promoted
+// follower had not replicated the whole staged batch, never above
+// because the partition lock admits no other publish while a batch is
+// staged. ps.mu held.
+func (c *Cluster) resolveLocked(w *partWork) {
+	t, ps := w.t, w.ps
+	if w.err = c.ensureLeaderLocked(t, ps); w.err != nil {
+		return
+	}
+	if st := ps.inflight; st != nil && st.fp == w.fp && st.n == len(w.msgs) {
 		// The same batch, retried: it is already on the leader log (or
 		// partially, after a failover). Resume the commit, never
 		// re-append the whole batch.
+		w.first = st.first
 		if st.committed {
-			return st.first, nil // a Repair pass finished the commit for us
+			w.done = true // a Repair pass finished the commit for us
+			return
 		}
-		return c.commitStagedLocked(t, ps, msgs)
+		ld := c.node(ps.leader)
+		if ld == nil || !ld.Alive() {
+			w.err = &nodeDownError{id: ps.leader}
+			return
+		}
+		end, err := ld.Broker.EndOffset(t.name, ps.idx)
+		if err != nil {
+			w.err = err
+			return
+		}
+		want := st.first + int64(st.n)
+		if end > want {
+			w.err = fmt.Errorf("cluster: %s/%d leader end %d beyond staged region end %d",
+				t.name, ps.idx, end, want)
+			return
+		}
+		if end < want {
+			// Failover lost a suffix of the staged batch; re-append exactly
+			// the missing tail so the region is contiguous again.
+			w.stage, w.at = w.msgs, end
+			if end > st.first {
+				w.stage = w.msgs[end-st.first:]
+			}
+		}
+		return
+	}
+	if st := ps.findUnacked(w.fp, len(w.msgs)); st != nil {
+		// Committed while this batch's publisher was between retries,
+		// and displaced by another publisher's batch since.
+		w.first, w.done = st.first, true
+		return
 	}
 	if st := ps.inflight; st != nil && !st.committed {
-		// A different batch while one is staged: its publisher gave up
-		// retrying. Resolve the old region first (commit whatever the
-		// leader log holds) so a single staged region remains.
-		if err := c.commitSuffixLocked(t, ps); err != nil {
-			return 0, err
+		// A different batch while one is staged: its publisher failed
+		// (and may retry) or gave up. Resolve the old region first
+		// (commit whatever the leader log holds) so a single staged
+		// region remains; its dedupe state moves to unacked.
+		if w.err = c.commitSuffixLocked(t, ps); w.err != nil {
+			return
 		}
 	}
-	ps.inflight = nil
-	first, err := c.stageOnLeaderLocked(t, ps, msgs)
-	if err != nil {
-		return 0, err
-	}
-	ps.inflight = &staged{fp: fp, n: len(msgs), first: first}
-	return c.commitStagedLocked(t, ps, msgs)
+	ps.displaceLocked()
+	w.stage, w.at = w.msgs, -1
 }
 
-// commitStagedLocked finishes committing the staged batch, re-appending
-// whatever suffix a failover lost, and returns the batch's first
-// committed offset. The new leader's end offset can only be inside
-// [hw, first+n]: below first+n when the promoted follower had not
-// replicated the whole staged batch, never above because the partition
-// lock admits no other publish while a batch is staged.
-func (c *Cluster) commitStagedLocked(t *topicState, ps *partitionState, msgs []stream.Message) (int64, error) {
-	if err := c.ensureLeaderLocked(t, ps); err != nil {
-		return 0, err
-	}
-	st := ps.inflight
-	if st == nil {
-		// A failover between retries dropped the staged region below hw:
-		// the whole batch is gone from every surviving log. Re-stage it.
-		first, err := c.stageOnLeaderLocked(t, ps, msgs)
-		if err != nil {
-			return 0, err
-		}
-		st = &staged{fp: fingerprintMsgs(msgs), n: len(msgs), first: first}
-		ps.inflight = st
-	}
-	ld := c.node(ps.leader)
-	if ld == nil || !ld.Alive() {
-		return 0, &nodeDownError{id: ps.leader}
-	}
-	end, err := ld.Broker.EndOffset(t.name, ps.idx)
-	if err != nil {
-		return 0, err
-	}
-	want := st.first + int64(st.n)
-	if end > want {
-		return 0, fmt.Errorf("cluster: %s/%d leader end %d beyond staged region end %d",
-			t.name, ps.idx, end, want)
-	}
-	if end < want {
-		// Failover lost a suffix of the staged batch; re-append exactly
-		// the missing tail so the region is contiguous again.
-		missing := msgs
-		if end > st.first {
-			missing = msgs[end-st.first:]
-		}
-		first2, err := c.stageOnLeaderLocked(t, ps, missing)
-		if err != nil {
-			return 0, err
-		}
-		if first2 != end {
-			return 0, fmt.Errorf("cluster: %s/%d staged re-append landed at %d, want %d",
-				t.name, ps.idx, first2, end)
-		}
-		if end <= st.first {
-			st.first = first2 // whole batch was lost; region restarts here
+// stageLocked appends each partition's resolved messages on its
+// leader: one lane per leader node, each taking its partitions in
+// ascending order and ending in one WAL group sync (stageLane). The
+// router then records the staged regions in partition order. ps.mu
+// held for every partition.
+func (c *Cluster) stageLocked(works []partWork) {
+	ids := make([]string, 0, len(works))
+	for _, w := range works {
+		if w.stage != nil {
+			ids = append(ids, w.ps.leader)
 		}
 	}
-	if err := c.commitSuffixLocked(t, ps); err != nil {
-		return 0, err
+	c.runLanes(ids, func(id string) { c.stageLane(id, works) })
+	for i := range works {
+		w := &works[i]
+		if w.err != nil || w.stage == nil {
+			continue
+		}
+		ps := w.ps
+		if w.at < 0 {
+			ps.inflight = &staged{fp: w.fp, n: len(w.msgs), first: w.staged}
+			w.first = w.staged
+			continue
+		}
+		if w.staged != w.at {
+			w.err = fmt.Errorf("cluster: %s/%d staged re-append landed at %d, want %d",
+				w.t.name, ps.idx, w.staged, w.at)
+			continue
+		}
+		if st := ps.inflight; w.at <= st.first {
+			st.first = w.staged // whole batch was lost; region restarts here
+			w.first = w.staged
+		}
 	}
-	return st.first, nil
 }
 
-// commitSuffixLocked replicates the leader log's uncommitted suffix
-// [hw, leaderEnd) to the followers and advances hw once Quorum replicas
-// (leader included) hold it — the "followers ack before publish commits"
-// half of the protocol. On a quorum miss the suffix stays staged and
-// invisible; the error is transient so publishers retry.
+// commitSuffixLocked replicates one partition's uncommitted suffix and
+// commits it on quorum (see commitLocked). ps.mu held.
 func (c *Cluster) commitSuffixLocked(t *topicState, ps *partitionState) error {
-	ld := c.node(ps.leader)
-	if ld == nil || !ld.Alive() {
-		return &nodeDownError{id: ps.leader}
-	}
-	lend, err := ld.Broker.EndOffset(t.name, ps.idx)
-	if err != nil {
-		return err
-	}
-	// A dead follower — or a follower set left short by a failover when
-	// fewer than RF members were alive — would pin the partition below
-	// quorum until the next repair pass; re-pick followers from live
-	// members instead, so a node loss (or a restart that restores RF
-	// live members) changes durability for exactly one commit — the
-	// replacement is caught up inline below before it acks.
-	refresh := len(ps.followers) < c.cfg.RF-1
-	if !refresh {
+	works := []partWork{{t: t, ps: ps}}
+	c.commitLocked(works)
+	return works[0].err
+}
+
+// commitLocked replicates each partition's uncommitted suffix [hw,
+// leaderEnd) to its followers — one ship lane per follower node, ending
+// in one WAL group sync (shipLane) — then, in partition order, advances
+// hw wherever Quorum replicas (leader included) hold it: the "followers
+// ack before publish commits" half of the protocol. On a quorum miss
+// the suffix stays staged and invisible; the error is transient so
+// publishers retry. ps.mu held for every partition.
+func (c *Cluster) commitLocked(works []partWork) {
+	ids := make([]string, 0, len(works))
+	for i := range works {
+		w := &works[i]
+		if w.err != nil || w.done {
+			continue
+		}
+		ps := w.ps
+		ld := c.node(ps.leader)
+		if ld == nil || !ld.Alive() {
+			w.err = &nodeDownError{id: ps.leader}
+			continue
+		}
+		if w.lend, w.err = ld.Broker.EndOffset(w.t.name, ps.idx); w.err != nil {
+			continue
+		}
+		// A dead follower — or a follower set left short by a failover
+		// when fewer than RF members were alive — would pin the
+		// partition below quorum until the next repair pass; re-pick
+		// followers from live members instead, so a node loss (or a
+		// restart that restores RF live members) changes durability for
+		// exactly one commit — the replacement is caught up inline
+		// before it acks.
+		refresh := len(ps.followers) < c.cfg.RF-1
 		for _, r := range ps.followers {
 			if n := c.node(r); n == nil || !n.Alive() {
 				refresh = true
 				break
 			}
 		}
+		if refresh {
+			c.refreshFollowersLocked(ps)
+		}
+		ps.acked[ps.leader] = w.lend
+		w.ships = make([]shipResult, len(ps.followers))
+		ids = append(ids, ps.followers...)
 	}
-	if refresh {
-		c.refreshFollowersLocked(ps)
+	c.runLanes(ids, func(id string) { c.shipLane(id, works) })
+	for i := range works {
+		if w := &works[i]; w.err == nil && !w.done {
+			w.err = c.commitQuorumLocked(w)
+		}
 	}
-	ps.acked[ps.leader] = lend
+}
+
+// commitQuorumLocked counts one partition's acks after the ship lanes
+// ran and, on quorum, advances hw, writes the WAL commit barriers and
+// marks the staged batch committed. ps.mu held.
+func (c *Cluster) commitQuorumLocked(w *partWork) error {
+	t, ps := w.t, w.ps
 	acks := 1
 	var lastErr error
-	type followerAck struct {
-		id      string
-		shipped bool
-	}
-	ackedFollowers := make([]followerAck, 0, len(ps.followers))
-	for _, r := range ps.followers {
-		shipped, err := c.syncFollowerLocked(t, ps, r, lend)
-		if err != nil {
-			lastErr = err
-			continue
+	for i, r := range ps.followers {
+		if res := w.ships[i]; res.err != nil {
+			lastErr = res.err
+		} else {
+			ps.acked[r] = res.end
+			acks++
 		}
-		ackedFollowers = append(ackedFollowers, followerAck{id: r, shipped: shipped})
-		acks++
 	}
 	if acks < c.cfg.Quorum {
 		c.quorumFailures.Add(1)
 		return &quorumError{topic: t.name, part: ps.idx, acks: acks, quorum: c.cfg.Quorum, cause: lastErr}
 	}
 	hwBefore := ps.hw
-	if lend > ps.hw {
-		ps.hw = lend
+	if w.lend > ps.hw {
+		ps.hw = w.lend
 	}
 	// WAL commit barriers, on the replicas whose knowledge changed this
 	// pass: the leader when hw advanced, an acked follower when it also
 	// shipped records (its log grew) or hw advanced. Quiescent repair
 	// passes change nothing and write nothing. Barrier failures crash
 	// the replica (walCrash) but never undo the quorum commit above.
-	if name := partitionLog(t.name, ps.idx); ps.hw > hwBefore {
-		_ = c.walCommitBarrier(ld, name, ps.hw, ps.epoch)
-		for _, f := range ackedFollowers {
-			if fn := c.node(f.id); fn != nil && fn.Alive() {
-				_ = c.walCommitBarrier(fn, name, ps.hw, ps.epoch)
-			}
+	name := partitionLog(t.name, ps.idx)
+	if ps.hw > hwBefore {
+		if ld := c.node(ps.leader); ld != nil {
+			_ = c.walCommitBarrier(ld, name, ps.hw, ps.epoch)
 		}
-	} else {
-		for _, f := range ackedFollowers {
-			if !f.shipped {
-				continue
-			}
-			if fn := c.node(f.id); fn != nil && fn.Alive() {
-				_ = c.walCommitBarrier(fn, name, ps.hw, ps.epoch)
-			}
+	}
+	for i, r := range ps.followers {
+		if res := w.ships[i]; res.err != nil || (!res.shipped && ps.hw == hwBefore) {
+			continue
+		}
+		if fn := c.node(r); fn != nil && fn.Alive() {
+			_ = c.walCommitBarrier(fn, name, ps.hw, ps.epoch)
 		}
 	}
 	if ps.inflight != nil {
@@ -331,32 +416,62 @@ func (c *Cluster) commitSuffixLocked(t *topicState, ps *partitionState) error {
 	return nil
 }
 
-// syncFollowerLocked ships the leader log to one follower until the
-// follower holds [.., lend), returning whether any records moved. Each
-// hop crosses the faultable transport under the retry policy;
+// shipLane is one follower node's share of a commit: it ships each
+// partition it follows, in ascending order (ship), then makes every
+// shipped chunk durable with one WAL group sync. A follower's ack
+// counts only after that sync returns; a failed sync crashes the node
+// and fails every partition of the lane. Partitions the router did not
+// prepare for shipping (ships nil) are skipped.
+func (c *Cluster) shipLane(id string, works []partWork) {
+	var logs []*wal.Log
+	for i := range works {
+		w := &works[i]
+		if j := slices.Index(w.ps.followers, id); j >= 0 && w.ships != nil {
+			if l := c.ship(w, id, &w.ships[j]); l != nil {
+				logs = append(logs, l)
+			}
+		}
+	}
+	if err := c.walGroupSync(c.node(id), logs); err != nil {
+		for i := range works {
+			w := &works[i]
+			if j := slices.Index(w.ps.followers, id); j >= 0 && w.ships != nil {
+				w.ships[j].err = err
+			}
+		}
+	}
+}
+
+// ship copies the leader log to follower id until the follower holds
+// [.., w.lend), recording the outcome in res and returning the WAL log
+// the shipped chunks were appended to (nil when none were). Each hop
+// crosses the faultable transport under the retry policy;
 // ReplicateBatch preserves leader offsets and skips records the
 // follower already holds, so re-delivery after a failed session cannot
-// duplicate or reorder. Shipped chunks land on the follower's WAL
-// (append + fsync) before the loop continues — the follower's ack is
-// only ever granted for durable records.
-func (c *Cluster) syncFollowerLocked(t *topicState, ps *partitionState, id string, lend int64) (bool, error) {
-	shipped := false
+// duplicate or reorder. The chunks are appended unsynced: the lane's
+// group sync makes them durable before any ack counts.
+func (c *Cluster) ship(w *partWork, id string, res *shipResult) *wal.Log {
+	t, ps := w.t, w.ps
 	f := c.node(id)
 	if f == nil || !f.Alive() {
-		return shipped, &nodeDownError{id: id}
+		res.err = &nodeDownError{id: id}
+		return nil
 	}
 	ld := c.node(ps.leader)
 	if ld == nil || !ld.Alive() {
-		return shipped, &nodeDownError{id: ps.leader}
+		res.err = &nodeDownError{id: ps.leader}
+		return nil
 	}
+	var log *wal.Log
 	for {
 		fend, err := f.Broker.EndOffset(t.name, ps.idx)
 		if err != nil {
-			return shipped, err
+			res.err = err
+			return log
 		}
-		if fend >= lend {
-			ps.acked[id] = fend
-			return shipped, nil
+		if fend >= w.lend {
+			res.end = fend
+			return log
 		}
 		var recs []stream.Record
 		err = resilience.Retry(context.Background(), c.cfg.Retry, func() error {
@@ -379,21 +494,56 @@ func (c *Cluster) syncFollowerLocked(t *topicState, ps *partitionState, id strin
 			return ferr
 		})
 		if err != nil {
-			return shipped, err
+			res.err = err
+			return log
 		}
 		if len(recs) == 0 {
-			return shipped, fmt.Errorf("cluster: %s/%d replication stalled at %d (leader end %d)",
-				t.name, ps.idx, fend, lend)
+			res.err = fmt.Errorf("cluster: %s/%d replication stalled at %d (leader end %d)",
+				t.name, ps.idx, fend, w.lend)
+			return log
 		}
 		if err := f.Broker.ReplicateBatch(t.name, ps.idx, recs); err != nil {
-			return shipped, err
+			res.err = err
+			return log
 		}
-		if err := c.walAppendRecords(f, partitionLog(t.name, ps.idx), recs); err != nil {
-			return shipped, err
+		l, err := c.walAppendRecords(f, partitionLog(t.name, ps.idx), recs)
+		if err != nil {
+			res.err = err
+			return log
 		}
-		shipped = true
+		log = l
+		res.shipped = true
 		c.replicated.Add(int64(len(recs)))
 	}
+}
+
+// runLanes runs lane once per distinct node in ids. Each lane takes
+// its partitions or stripes in ascending order, so every node's WAL
+// hook sequence stays the same however the lanes interleave. With WALs
+// the lanes run concurrently, one goroutine per node beyond the first,
+// which runs on the caller: each lane ends in a group sync, and the
+// syncs overlap. Without WALs a lane is a few microseconds of in-memory
+// copies, less than a goroutine hand-off costs, so the lanes run in
+// turn on the caller.
+func (c *Cluster) runLanes(ids []string, lane func(id string)) {
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	if c.cfg.WALDir == "" || len(ids) < 2 {
+		for _, id := range ids {
+			lane(id)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	for _, id := range ids[1:] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			lane(id)
+		}()
+	}
+	lane(ids[0])
+	wg.Wait()
 }
 
 // FetchNoWait reads committed records from the partition leader,

@@ -11,6 +11,23 @@
 // and failover promotes the most-caught-up live follower — the shape the
 // paper's multi-project collector/storage fleets need to lose a node
 // without losing the hot tier.
+//
+// Placement hashes ring points and keys with FNV-1a mixed through
+// murmur3's fmix64 finalizer (ringHash), so three nodes share the
+// circle instead of one owning most of it.
+//
+// Write paths run one lane per node. PublishBatch locks the touched
+// partitions in ascending order and resolves each one's leader and what
+// it must stage; one lane per leader node stages its partitions (gate,
+// broker append, WAL append) and ends in one WAL group sync
+// (wal.SyncLogs); one lane per follower node ships its partitions'
+// suffixes and ends in one group sync — one follower fsync per
+// partition log per commit, and the ack counts only after it — and the
+// router then commits partition by partition. InsertBatch runs one lane
+// per replica node over the touched stripes the same way. With WALs
+// the lanes run concurrently (a lone lane inline), without them in
+// turn; each takes its work in ascending order, so every node's WAL
+// hook sequence is the same in every run.
 package cluster
 
 import (
@@ -44,8 +61,13 @@ func NewRing(vnodes int) *Ring {
 	return &Ring{vnodes: vnodes, nodes: make(map[string]bool)}
 }
 
-// fnv64 is FNV-1a, the same hash family the broker and lake stripe on.
-func fnv64(s string) uint64 {
+// ringHash places ring points and keys: FNV-1a (the hash family the
+// broker and lake stripe on) mixed through murmur3's 64-bit finalizer.
+// Plain FNV-1a barely moves its high bits for names that differ only in
+// their last bytes ("n1#0" … "n3#63"), so the points clustered on a
+// fifth of the circle and one node owned most of it; the finalizer
+// spreads every input bit over the whole word.
+func ringHash(s string) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -54,6 +76,11 @@ func fnv64(s string) uint64 {
 	for i := 0; i < len(s); i++ {
 		h = (h ^ uint64(s[i])) * prime64
 	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
 	return h
 }
 
@@ -64,7 +91,7 @@ func (r *Ring) Add(node string) {
 	}
 	r.nodes[node] = true
 	for i := 0; i < r.vnodes; i++ {
-		r.points = append(r.points, ringPoint{h: fnv64(fmt.Sprintf("%s#%d", node, i)), node: node})
+		r.points = append(r.points, ringPoint{h: ringHash(fmt.Sprintf("%s#%d", node, i)), node: node})
 	}
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].h < r.points[j].h })
 }
@@ -103,7 +130,7 @@ func (r *Ring) Owners(key string, rf int) []string {
 	if rf > len(r.nodes) {
 		rf = len(r.nodes)
 	}
-	h := fnv64(key)
+	h := ringHash(key)
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].h >= h })
 	out := make([]string, 0, rf)
 	seen := make(map[string]bool, rf)

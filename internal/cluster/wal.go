@@ -51,17 +51,13 @@ func (c *Cluster) walCrash(n *Node) error {
 	return &nodeDownError{id: n.ID}
 }
 
-// walAppendRecords makes a replicated chunk durable on a node's WAL.
-// Replication acks ride on the Sync barrier: the caller must not count
-// the node's ack until this returns nil.
-func (c *Cluster) walAppendRecords(n *Node, name string, recs []stream.Record) error {
-	w := n.WAL()
-	if w == nil {
-		return nil
-	}
-	l, err := w.Log(name)
-	if err != nil {
-		return c.walCrash(n)
+// walAppendRecords stages replicated records on a node's partition log
+// and returns the log, which the caller's lane group-syncs (walGroupSync)
+// before counting the node's ack. It returns nil when the node runs
+// without a WAL; a failed append crashes the node.
+func (c *Cluster) walAppendRecords(n *Node, name string, recs []stream.Record) (*wal.Log, error) {
+	if n.WAL() == nil {
+		return nil, nil // build no frames for a node that keeps no log
 	}
 	entries := make([]wal.Entry, len(recs))
 	for i, r := range recs {
@@ -70,10 +66,45 @@ func (c *Cluster) walAppendRecords(n *Node, name string, recs []stream.Record) e
 			Key: r.Key, Value: r.Value,
 		}
 	}
-	if err := l.Append(entries...); err != nil {
-		return c.walCrash(n)
+	return c.walAppend(n, name, entries...)
+}
+
+// walAppendInsert stages one lake insert batch on a replica's stripe
+// log under its cluster-wide sequence number; like walAppendRecords,
+// the batch is durable only once the caller group-syncs the log.
+func (c *Cluster) walAppendInsert(n *Node, s int, seq int64, obs []schema.Observation) (*wal.Log, error) {
+	return c.walAppend(n, stripeLog(s), wal.Entry{Kind: wal.KindInsert, Seq: seq, Obs: obs})
+}
+
+// walAppend appends entries to one of a node's logs, returning the log
+// (nil when the node runs without a WAL). A failure crashes the node.
+func (c *Cluster) walAppend(n *Node, name string, entries ...wal.Entry) (*wal.Log, error) {
+	w := n.WAL()
+	if w == nil {
+		return nil, nil
 	}
-	if err := l.Sync(); err != nil {
+	l, err := w.Log(name)
+	if err == nil {
+		err = l.Append(entries...)
+	}
+	if err != nil {
+		return nil, c.walCrash(n)
+	}
+	return l, nil
+}
+
+// walGroupSync makes every log a lane appended to durable with one
+// group commit (wal.SyncLogs) — the barrier the node's acks ride on. A
+// dead node syncs nothing (it crashed with the appends unsynced), and a
+// failed sync crashes the node.
+func (c *Cluster) walGroupSync(n *Node, logs []*wal.Log) error {
+	if len(logs) == 0 {
+		return nil
+	}
+	if !n.Alive() {
+		return &nodeDownError{id: n.ID}
+	}
+	if err := wal.SyncLogs(logs...); err != nil {
 		return c.walCrash(n)
 	}
 	return nil
@@ -82,71 +113,63 @@ func (c *Cluster) walAppendRecords(n *Node, name string, recs []stream.Record) e
 // walCommitBarrier records how far the quorum-committed prefix reached
 // on one replica's log, and at which leadership epoch the replica
 // learned it. Barriers are appended without an fsync of their own — the
-// next record append's Sync flushes them, and losing one only shrinks
+// next group sync of the log flushes them, and losing one only shrinks
 // the prefix the next recovery trusts, never corrupts it.
 func (c *Cluster) walCommitBarrier(n *Node, name string, hw, epoch int64) error {
-	w := n.WAL()
-	if w == nil {
-		return nil
-	}
-	l, err := w.Log(name)
-	if err != nil {
-		return c.walCrash(n)
-	}
-	if err := l.Append(wal.Entry{Kind: wal.KindCommit, HW: hw, Epoch: epoch}); err != nil {
-		return c.walCrash(n)
-	}
-	return nil
+	_, err := c.walAppend(n, name, wal.Entry{Kind: wal.KindCommit, HW: hw, Epoch: epoch})
+	return err
 }
 
-// walAppendInsert makes one lake insert batch durable on a replica's
-// stripe log under its cluster-wide sequence number, before the replica
-// counts toward the insert's ack.
-func (c *Cluster) walAppendInsert(n *Node, s int, seq int64, obs []schema.Observation) error {
-	w := n.WAL()
-	if w == nil {
-		return nil
-	}
-	l, err := w.Log(stripeLog(s))
-	if err == nil {
-		if err = l.Append(wal.Entry{Kind: wal.KindInsert, Seq: seq, Obs: obs}); err == nil {
-			err = l.Sync()
+// stageLane is one leader node's share of a publish: for each
+// partition it leads that has messages to stage, in ascending order, it
+// crosses the transport gate, appends the messages to the broker log,
+// and stages them on the leader's WAL; then one group sync makes them
+// all durable — the leader's half of the "persist before ack" rule
+// (followers persist in shipLane). A partition whose step fails drops
+// out; a failed sync crashes the leader and fails every partition it
+// staged.
+func (c *Cluster) stageLane(id string, works []partWork) {
+	ld := c.node(id)
+	var logs []*wal.Log
+	var pending []*partWork
+	for i := range works {
+		w := &works[i]
+		if w.stage == nil || w.ps.leader != id {
+			continue
 		}
-	}
-	if err != nil {
-		return c.walCrash(n)
-	}
-	return nil
-}
-
-// stageOnLeaderLocked appends msgs to the leader's partition log and
-// makes them durable on the leader's WAL — the leader's half of the
-// "persist before ack" rule (followers persist in syncFollowerLocked).
-// ps.mu held.
-func (c *Cluster) stageOnLeaderLocked(t *topicState, ps *partitionState, msgs []stream.Message) (int64, error) {
-	ld := c.node(ps.leader)
-	if ld == nil || !ld.Alive() {
-		return 0, &nodeDownError{id: ps.leader}
-	}
-	if err := c.transport.call(OpPublish, routerID, ps.leader); err != nil {
-		return 0, err
-	}
-	first, err := ld.Broker.PublishBatchTo(t.name, ps.idx, msgs)
-	if err != nil {
-		return 0, err
-	}
-	if ld.WAL() != nil {
+		if ld == nil || !ld.Alive() {
+			w.err = &nodeDownError{id: id}
+			continue
+		}
+		if w.err = c.transport.call(OpPublish, routerID, id); w.err != nil {
+			continue
+		}
+		if w.staged, w.err = ld.Broker.PublishBatchTo(w.t.name, w.ps.idx, w.stage); w.err != nil {
+			continue
+		}
+		if ld.WAL() == nil {
+			continue
+		}
 		// Read the appended records back so the WAL frames carry the
 		// broker-assigned offsets and timestamps replay needs.
-		recs, err := ld.Broker.FetchNoWait(t.name, ps.idx, first, len(msgs))
+		recs, err := ld.Broker.FetchNoWait(w.t.name, w.ps.idx, w.staged, len(w.stage))
 		if err != nil {
-			return 0, err
+			w.err = err
+			continue
 		}
-		if err := c.walAppendRecords(ld, partitionLog(t.name, ps.idx), recs); err != nil {
-			return 0, err
+		l, err := c.walAppendRecords(ld, partitionLog(w.t.name, w.ps.idx), recs)
+		if err != nil {
+			w.err = err
+			continue
+		}
+		logs = append(logs, l)
+		pending = append(pending, w)
+	}
+	if err := c.walGroupSync(ld, logs); err != nil {
+		for _, w := range pending {
+			w.err = err
 		}
 	}
-	return first, nil
 }
 
 // recoverNode replays a freshly-reopened WAL into the node's empty
@@ -356,8 +379,14 @@ func (c *Cluster) catchupStripeFromWAL(s int, src, tgt string) bool {
 			tn.stripeSeq[s].Store(-1)
 			return false
 		}
-		if err := c.walAppendInsert(tn, s, e.Seq, e.Obs); err != nil {
+		l, err := c.walAppendInsert(tn, s, e.Seq, e.Obs)
+		if err != nil {
 			return false
+		}
+		if l != nil {
+			if err := c.walGroupSync(tn, []*wal.Log{l}); err != nil {
+				return false
+			}
 		}
 		tn.stripeSeq[s].Store(e.Seq)
 	}

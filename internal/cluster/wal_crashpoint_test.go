@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -111,6 +112,49 @@ func TestChaosClusterWALCrashPoints(t *testing.T) {
 				assertQueriesMatch(t, ref, c, qrng, 3, fmt.Sprintf("k=%d %s", k, op))
 			}
 		})
+	}
+}
+
+// TestChaosClusterWALHookSequenceDeterministic runs the crash-point
+// workload twice with one seed and requires n2 to see the identical
+// sequence of (op, target) WAL hook calls both times. Publish and insert
+// run one lane per node concurrently; each lane takes its partitions or
+// stripes in a fixed order, so a node's own sequence must not depend on
+// how the lanes interleave — that is what lets the crash-point sweep
+// above kill n2 at the same boundary in the calibration run and in the
+// k-th run.
+func TestChaosClusterWALHookSequenceDeterministic(t *testing.T) {
+	seed := chaosSeed(t)
+	record := func() ([]string, map[string]int) {
+		var mu sync.Mutex
+		var calls []string
+		counts := map[string]int{}
+		c, ref := newCrashPointCluster(t)
+		c.NodeWAL("n2").SetFaultHook(func(op, target string) error {
+			mu.Lock()
+			calls = append(calls, op+" "+target)
+			counts[op]++
+			mu.Unlock()
+			return nil
+		})
+		crashPointWorkload(t, c, ref, seed, "telemetry")
+		return calls, counts
+	}
+	a, ca := record()
+	b, cb := record()
+	if ca[faults.OpWALAppend] == 0 || ca[faults.OpWALFsync] == 0 {
+		t.Fatalf("n2 crossed no WAL boundaries: %v", ca)
+	}
+	if fmt.Sprint(ca) != fmt.Sprint(cb) {
+		t.Fatalf("calibration counts differ between runs (seed %d): %v vs %v", seed, ca, cb)
+	}
+	for i := range a {
+		if i >= len(b) || a[i] != b[i] {
+			t.Fatalf("hook call %d differs between runs (seed %d): %q vs %q", i, seed, a[i], b[min(i, len(b)-1)])
+		}
+	}
+	if len(a) != len(b) {
+		t.Fatalf("runs made %d and %d hook calls (seed %d)", len(a), len(b), seed)
 	}
 }
 

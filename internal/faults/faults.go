@@ -16,16 +16,21 @@
 // the property the chaos integration test leans on when it asserts
 // byte-identical pipeline output under ≥5% fault rates.
 //
-// Determinism: one seeded PRNG drives every injection decision, guarded
-// by a mutex. A single-goroutine workload replays identically for a
-// seed; concurrent workloads see the same aggregate fault rates with a
-// schedule-dependent interleaving, which is exactly the reproducibility
-// contract chaos tests need (retries must mask transients no matter
-// *which* operations fail).
+// Determinism: every (operation, target) pair draws its injection
+// decisions from its own PRNG stream, seeded from the injector's seed
+// and the pair. The decisions for one target therefore depend only on
+// the seed and on how many times that target was called — not on how
+// calls to other targets interleave with it — so a workload whose
+// per-target call order is fixed (the cluster's per-node lanes run
+// concurrently, but each node's calls in a fixed order) replays
+// identically for a seed. FailAfter counts calls per operation across
+// targets; install a separate injector per component when that count
+// must not depend on interleaving.
 package faults
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"sort"
 	"strings"
@@ -109,16 +114,30 @@ type opRule struct {
 // InstallBroker / InstallStore / InstallLake (or pass Before as a hook
 // directly). Safe for concurrent use.
 type Injector struct {
-	mu    sync.Mutex
-	rng   *rand.Rand
-	seed  int64
-	rules map[string]*opRule
+	mu      sync.Mutex
+	seed    int64
+	rules   map[string]*opRule
+	streams map[string]*rand.Rand // per (op, target) pair
 }
 
 // New returns an injector with no rules: every operation passes until
 // Set installs rates.
 func New(seed int64) *Injector {
-	return &Injector{rng: rand.New(rand.NewSource(seed)), seed: seed, rules: make(map[string]*opRule)}
+	return &Injector{seed: seed, rules: make(map[string]*opRule), streams: make(map[string]*rand.Rand)}
+}
+
+// stream returns the (op, target) pair's PRNG, seeding it on first use
+// from the injector's seed and an FNV-1a hash of the pair. inj.mu held.
+func (inj *Injector) stream(op, target string) *rand.Rand {
+	key := op + "\x00" + target
+	r, ok := inj.streams[key]
+	if !ok {
+		h := fnv.New64a()
+		h.Write([]byte(key))
+		r = rand.New(rand.NewSource(inj.seed ^ int64(h.Sum64())))
+		inj.streams[key] = r
+	}
+	return r
 }
 
 // Seed returns the injector's seed (for test failure messages).
@@ -148,13 +167,14 @@ func (inj *Injector) Before(op, target string) error {
 		inj.mu.Unlock()
 		return &InjectedError{Op: op, Target: target, Permanent: true}
 	}
-	if rule.rates.Transient > 0 && inj.rng.Float64() < rule.rates.Transient {
+	rng := inj.stream(op, target)
+	if rule.rates.Transient > 0 && rng.Float64() < rule.rates.Transient {
 		rule.stats.Transients++
 		inj.mu.Unlock()
 		return &InjectedError{Op: op, Target: target}
 	}
 	var delay time.Duration
-	if rule.rates.Latency > 0 && inj.rng.Float64() < rule.rates.Latency {
+	if rule.rates.Latency > 0 && rng.Float64() < rule.rates.Latency {
 		rule.stats.Delays++
 		delay = rule.rates.LatencyDur
 	}

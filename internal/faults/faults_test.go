@@ -119,3 +119,45 @@ func TestUnconfiguredOpPasses(t *testing.T) {
 		t.Fatalf("summary = %q", inj.String())
 	}
 }
+
+// TestInjectorPerTargetStreams: each (op, target) pair draws from its
+// own stream, so interleaving calls to two targets differently leaves
+// every target's decision sequence unchanged for a seed.
+func TestInjectorPerTargetStreams(t *testing.T) {
+	run := func(order []string) map[string][]bool {
+		inj := New(20240601)
+		inj.Set(OpLakeInsert, Rates{Transient: 0.4})
+		out := map[string][]bool{}
+		for _, target := range order {
+			out[target] = append(out[target], inj.Before(OpLakeInsert, target) != nil)
+		}
+		return out
+	}
+	var alternating, grouped []string
+	for i := 0; i < 200; i++ {
+		alternating = append(alternating, "n1", "n2")
+	}
+	for _, target := range []string{"n2", "n1"} {
+		for i := 0; i < 200; i++ {
+			grouped = append(grouped, target)
+		}
+	}
+	a, b := run(alternating), run(grouped)
+	for _, target := range []string{"n1", "n2"} {
+		if len(a[target]) != 200 || len(b[target]) != 200 {
+			t.Fatalf("%s: %d and %d decisions, want 200", target, len(a[target]), len(b[target]))
+		}
+		for i := range a[target] {
+			if a[target][i] != b[target][i] {
+				t.Fatalf("%s call %d: decision depends on how other targets interleave", target, i)
+			}
+		}
+	}
+	same := true
+	for i := range a["n1"] {
+		same = same && a["n1"][i] == a["n2"][i]
+	}
+	if same {
+		t.Fatal("two targets drew identical decision streams")
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"odakit/internal/atomicfile"
 )
@@ -87,8 +88,9 @@ func readManifest(dir string) (*manifestFile, error) {
 	var m manifestFile
 	if err := json.Unmarshal(b, &m); err != nil {
 		// A corrupt manifest is recoverable: fall back to the directory
-		// listing (all segments unsealed, fully rescanned).
-		return nil, nil
+		// listing (all segments unsealed, fully rescanned). The empty
+		// manifest still disagrees with the disk, so recovery rewrites it.
+		return &manifestFile{}, nil
 	}
 	return &m, nil
 }
@@ -131,12 +133,13 @@ func (l *Log) recover() error {
 		}
 	}
 	var segs []manifestSegment
-	truncated := false
+	truncated, changed := false, false
 	for _, name := range onDisk {
 		if truncated {
 			// Everything after a truncation point is gone.
 			l.w.truncatedBytes.Add(fileSize(filepath.Join(l.dir, name)))
 			_ = os.Remove(filepath.Join(l.dir, name))
+			changed = true
 			continue
 		}
 		path := filepath.Join(l.dir, name)
@@ -157,6 +160,7 @@ func (l *Log) recover() error {
 			}
 			l.w.truncatedBytes.Add(int64(len(data)) - int64(valid))
 			l.w.truncatedTails.Add(1)
+			changed = true
 		}
 		segs = append(segs, manifestSegment{Name: name, Bytes: int64(valid)})
 		if bad {
@@ -183,9 +187,16 @@ func (l *Log) recover() error {
 	// A clean open recomputes exactly what the manifest already records;
 	// rewriting it would put two fsyncs on every log open (recovery
 	// replays open every log, so that cost lands on restart latency).
-	// Persist only when recovery learned something: a truncation, an
-	// adopted or dropped segment, or no readable manifest at all.
+	// A log with no manifest whose only segment is the unsealed tail
+	// needs none either: the tail is rescanned on every open, so such a
+	// manifest would record nothing (and a fresh log would pay a temp
+	// file, an fsync and a rename to say so). Persist only when recovery
+	// learned something: a truncation, a sealed or dropped segment, or a
+	// manifest that disagrees with the disk.
 	if m != nil && manifestEqual(m.Segments, segs) {
+		return nil
+	}
+	if m == nil && len(segs) == 1 && !changed {
 		return nil
 	}
 	return l.writeManifestLocked()
@@ -244,14 +255,77 @@ func (l *Log) Append(entries ...Entry) error {
 // Sync flushes the buffer to the active segment and fsyncs it — the
 // durability barrier replication acks ride on. Segment rotation happens
 // here (never mid-buffer), so a sealed segment is always fully durable.
-func (l *Log) Sync() error {
+func (l *Log) Sync() error { return SyncLogs(l) }
+
+// maxIdleBuf caps the write buffer a log keeps between syncs. One sync
+// can cover a large flush (a follower's whole shipped suffix); keeping
+// that capacity would pin the largest flush per log for good.
+const maxIdleBuf = 128 << 10
+
+// SyncLogs is the group commit: one durability barrier over many logs
+// (one node's partition or stripe logs, say). Each log's fsync fault
+// hook is consulted in list order and the first failure stops
+// admission; the admitted logs then flush and fsync concurrently. It
+// returns the hook's failure, else the first flush or fsync error. The
+// admitted logs are synced even when a later hook fails, exactly as if
+// the logs had been synced one by one up to the failing one.
+func SyncLogs(logs ...*Log) error {
+	admitted := len(logs)
+	var first error
+	for i, l := range logs {
+		if err := l.admitSync(); err != nil {
+			admitted, first = i, err
+			break
+		}
+	}
+	errs := make([]error, admitted)
+	workers := min(admitted, maxSyncWorkers)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	work := func() {
+		for i := int(next.Add(1) - 1); i < admitted; i = int(next.Add(1) - 1) {
+			errs[i] = logs[i].syncNow()
+		}
+	}
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	if first != nil {
+		return first
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// maxSyncWorkers bounds the fsyncs one group commit runs at once.
+const maxSyncWorkers = 16
+
+// admitSync runs the fsync fault hook for one log of a group commit.
+func (l *Log) admitSync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return ErrClosed
 	}
-	if err := l.w.fault(OpFsync, l.name); err != nil {
-		return err
+	return l.w.fault(OpFsync, l.name)
+}
+
+// syncNow flushes and fsyncs one admitted log of a group commit.
+func (l *Log) syncNow() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return ErrClosed
 	}
 	return l.syncLocked()
 }
@@ -264,7 +338,11 @@ func (l *Log) syncLocked() error {
 		if err != nil {
 			return err
 		}
-		l.buf = l.buf[:0]
+		if cap(l.buf) > maxIdleBuf {
+			l.buf = nil
+		} else {
+			l.buf = l.buf[:0]
+		}
 	}
 	if err := l.f.Sync(); err != nil {
 		return err

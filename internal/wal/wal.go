@@ -6,7 +6,9 @@
 // independent append/sync/replay unit.
 //
 // Durability contract: Append stages frames in memory and Sync makes
-// them durable — callers ack replication only after Sync. A crash (or
+// them durable — callers ack replication only after Sync. SyncLogs is
+// the group commit over many logs: fault hooks in list order, then the
+// flushes and fsyncs run concurrently. A crash (or
 // NodeWAL.Abandon, which simulates one) loses buffered frames but never
 // corrupts the flushed prefix; open truncates at the first torn frame.
 //

@@ -371,3 +371,140 @@ func TestWALRejectsBadNames(t *testing.T) {
 		}
 	}
 }
+
+// TestWALSyncLogsGroupCommit: one group sync consults the fsync hook of
+// each log in list order, stops admitting at the first failure, and
+// still makes the admitted logs durable — as if they had been synced
+// one by one up to the failing log.
+func TestWALSyncLogsGroupCommit(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"p0", "p1", "p2", "p3"}
+	logs := make([]*Log, len(names))
+	want := testEntries(6)
+	for i, name := range names {
+		if logs[i], err = w.Log(name); err != nil {
+			t.Fatal(err)
+		}
+		if err := logs[i].Append(want...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	boom := errors.New("boom")
+	var seen []string
+	w.SetFaultHook(func(op, target string) error {
+		if op != OpFsync {
+			return nil
+		}
+		seen = append(seen, target)
+		if target == "p2" {
+			return boom
+		}
+		return nil
+	})
+	if err := SyncLogs(logs...); !errors.Is(err, boom) {
+		t.Fatalf("group sync = %v, want the p2 hook failure", err)
+	}
+	if got := fmt.Sprint(seen); got != "[p0 p1 p2]" {
+		t.Fatalf("fsync hooks ran for %s, want [p0 p1 p2] in order", got)
+	}
+	if got := w.Stats().Fsyncs; got != 2 {
+		t.Fatalf("fsyncs = %d, want 2 (the admitted logs)", got)
+	}
+	w.Abandon()
+
+	w2, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range names {
+		l, err := w2.Log(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := replayAll(t, l)
+		if i < 2 {
+			requireSame(t, got, want)
+		} else if len(got) != 0 {
+			t.Fatalf("%s: %d entries survived a crash before its fsync", name, len(got))
+		}
+	}
+}
+
+// TestWALSyncDropsLargeBuffer: a flush larger than the idle cap does not
+// leave its buffer pinned on the log.
+func TestWALSyncDropsLargeBuffer(t *testing.T) {
+	w, err := Open(Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := w.Log("p0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := Entry{Kind: KindRecord, Key: []byte("k"), Value: bytes.Repeat([]byte("x"), 2*maxIdleBuf)}
+	if err := l.Append(big); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if c := cap(l.buf); c > maxIdleBuf {
+		t.Fatalf("buffer keeps %d bytes after the sync, cap %d", c, maxIdleBuf)
+	}
+	small := testEntries(3)
+	if err := l.Append(small...); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if cap(l.buf) == 0 {
+		t.Fatal("a small buffer was dropped; only buffers above the cap should be")
+	}
+	requireSame(t, replayAll(t, l), append([]Entry{big}, small...))
+}
+
+// TestWALFreshLogWritesNoManifest: opening a new log writes no manifest
+// (its only segment is the unsealed tail, rescanned on every open), and
+// the first rotation writes one.
+func TestWALFreshLogWritesNoManifest(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(Config{Dir: dir, SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := w.Log("p0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifest := filepath.Join(dir, "p0", manifestName)
+	if _, err := os.Stat(manifest); !os.IsNotExist(err) {
+		t.Fatalf("fresh log wrote a manifest (stat: %v)", err)
+	}
+	want := testEntries(30)
+	if err := l.Append(want...); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(manifest); err != nil {
+		t.Fatalf("rotation wrote no manifest: %v", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w2, err := Open(Config{Dir: dir, SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l2, err := w2.Log("p0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSame(t, replayAll(t, l2), want)
+}
